@@ -2,15 +2,18 @@
 // stress: dense linear algebra, model gradients, coalition utilities,
 // Shapley enumeration, and completion sweeps.
 //
-// After the registered benchmarks run, main() times the two paper hot
-// paths — Monte-Carlo permutation sampling and the ALS completion solve —
+// After the registered benchmarks run, main() times the paper hot paths —
+// Monte-Carlo permutation sampling, the ALS completion solve and one
+// round of the coalition-utility engine (RoundUtility::EvaluateBatch) —
 // at 1 thread and at --threads (default 4) on a shared ExecutionContext,
 // and writes machine-readable BENCH_micro_kernels.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "bench_common.h"
+#include "shapley/utility.h"
 
 namespace comfedsv {
 namespace {
@@ -262,8 +265,8 @@ void BM_FedAvgRound(benchmark::State& state) {
 BENCHMARK(BM_FedAvgRound)->Arg(10)->Arg(50);
 
 // ---------------------------------------------------------------------
-// Thread-scaling section: wall time of the paper's two hot paths at 1
-// and N threads, reduced to machine-readable JSON.
+// Thread-scaling section: wall time of the paper's hot paths at 1 and N
+// threads, reduced to machine-readable JSON.
 
 // A loss-backed utility game of fig8-like cost: each coalition utility
 // evaluates one logistic test loss, as RoundUtility does.
@@ -317,6 +320,60 @@ double TimeAlsCompletion(int rows, int cols, int iters,
   Result<CompletionResult> result = CompleteMatrix(obs, cfg, ctx);
   COMFEDSV_CHECK_OK(result.status());
   return timer.ElapsedSeconds();
+}
+
+// One round of the coalition-utility engine at fig8 scale: MLP
+// {64, 32, 10}, 100 test samples, m = 60 selected clients, and the
+// distinct prefixes of 10 Monte-Carlo permutations submitted to
+// RoundUtility::EvaluateBatch, which aggregates and evaluates them in
+// parallel blocks. Best of 3 fresh rounds. `utilities` receives the
+// evaluated values so callers can check thread-count invariance.
+struct EvaluateBatchTiming {
+  double seconds = 0.0;
+  int coalitions = 0;
+  std::vector<double> utilities;
+};
+
+EvaluateBatchTiming TimeEvaluateBatchMlp(ExecutionContext* ctx) {
+  const int clients = 60;
+  const int permutations = 10;
+  Mlp model({64, 32, 10}, 1e-4);
+  Dataset test = RandomData(100, 64, 10, 81);
+  Rng rng(82);
+  RoundRecord record;
+  model.InitializeParams(&record.global_before, &rng);
+  for (int k = 0; k < clients; ++k) {
+    Vector local;
+    model.InitializeParams(&local, &rng);
+    record.local_models.push_back(std::move(local));
+    record.selected.push_back(k);
+  }
+  record.test_loss_before = model.Loss(record.global_before, test);
+
+  std::vector<Coalition> batch;
+  for (int m = 0; m < permutations; ++m) {
+    Coalition prefix(clients);
+    for (int member : rng.Permutation(clients)) {
+      prefix.Add(member);
+      batch.push_back(prefix);
+    }
+  }
+
+  EvaluateBatchTiming timing;
+  timing.seconds = 1e30;
+  for (int rep = 0; rep < 3; ++rep) {
+    UtilityStats stats;
+    RoundUtility utility(&model, &test, &record, nullptr, ctx, &stats);
+    Stopwatch timer;
+    utility.EvaluateBatch(batch);
+    timing.seconds = std::min(timing.seconds, timer.ElapsedSeconds());
+    timing.coalitions = static_cast<int>(stats.loss_calls);
+    timing.utilities.clear();
+    for (const Coalition& c : batch) {
+      timing.utilities.push_back(utility.Utility(c));
+    }
+  }
+  return timing;
 }
 
 // ---------------------------------------------------------------------
@@ -448,11 +505,38 @@ void WriteThreadScalingJson(int threads) {
     json.Field("seconds_n_threads", k.seconds_nt);
     json.Field("speedup", k.seconds_1t / k.seconds_nt);
   }
+
+  const EvaluateBatchTiming eval_1t = TimeEvaluateBatchMlp(nullptr);
+  const EvaluateBatchTiming eval_nt = TimeEvaluateBatchMlp(&ctx);
+  const bool eval_identical = eval_1t.utilities == eval_nt.utilities;
+  json.BeginRecord();
+  json.Field("kernel", "evaluate_batch_mlp");
+  json.Field("coalitions", static_cast<double>(eval_1t.coalitions));
+  json.Field("seconds_1_thread", eval_1t.seconds);
+  json.Field("seconds_n_threads", eval_nt.seconds);
+  json.Field("speedup", eval_1t.seconds / eval_nt.seconds);
+  json.Field("us_per_coalition_1_thread",
+             eval_1t.seconds / eval_1t.coalitions * 1e6);
+  json.Field("us_per_coalition_n_threads",
+             eval_nt.seconds / eval_nt.coalitions * 1e6);
+  json.Field("bit_identical", eval_identical);
+  std::printf(
+      "evaluate_batch_mlp %d coalitions  1 thread %7.2f us/coalition  "
+      "%d threads %7.2f us/coalition  identical=%s\n",
+      eval_1t.coalitions, eval_1t.seconds / eval_1t.coalitions * 1e6,
+      threads, eval_nt.seconds / eval_nt.coalitions * 1e6,
+      eval_identical ? "yes" : "NO");
+
   const bool identical = AppendBatchLossRecords(&json);
   json.WriteFile();
   if (!identical) {
     std::fprintf(stderr,
                  "FATAL: batched loss diverged from the scalar loop\n");
+    std::exit(1);
+  }
+  if (!eval_identical) {
+    std::fprintf(stderr,
+                 "FATAL: EvaluateBatch diverged across thread counts\n");
     std::exit(1);
   }
 }

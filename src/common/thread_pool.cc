@@ -7,6 +7,14 @@
 #include "common/check.h"
 
 namespace comfedsv {
+namespace {
+
+// The pool whose WorkerLoop runs on this thread, or null off-pool. A
+// ParallelFor issued from one of a pool's own workers runs inline: its
+// barrier would otherwise wait on the caller's own in-flight task.
+thread_local const ThreadPool* current_worker_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   COMFEDSV_CHECK_GE(num_threads, 0);
@@ -41,13 +49,15 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Wait() {
   if (workers_.empty()) return;
+  // A worker waiting on its own pool counts itself in in_flight_.
+  COMFEDSV_CHECK(current_worker_pool != this);
   MutexLock lock(mu_);
   while (in_flight_ != 0) all_done_.wait(mu_);
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
+  if (workers_.empty() || n == 1 || current_worker_pool == this) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -103,6 +113,7 @@ void ThreadPool::ParallelForBlocked(int n, int block_size,
 }
 
 void ThreadPool::WorkerLoop() {
+  current_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {

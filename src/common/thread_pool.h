@@ -30,17 +30,20 @@ class ThreadPool {
   /// may fail.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
+  /// Blocks until all submitted tasks have completed. Must not be called
+  /// from one of this pool's own workers (CHECK-fails instead of
+  /// deadlocking).
   void Wait();
 
   /// Number of worker threads (0 for inline pools).
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Runs `fn(i)` for i in [0, n), distributing across the pool, and waits.
-  /// With an inline pool this is a plain loop. If any invocation throws,
-  /// remaining indices are abandoned as soon as possible and the first
-  /// captured exception is rethrown on the calling thread after all
-  /// in-flight work has drained.
+  /// With an inline pool, or when called from one of this pool's own
+  /// workers (a nested region), this is a plain loop on the calling
+  /// thread. If any invocation throws, remaining indices are abandoned as
+  /// soon as possible and the first captured exception is rethrown on the
+  /// calling thread after all in-flight work has drained.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
   /// Runs `fn(begin, end)` over a fixed partition of [0, n) into

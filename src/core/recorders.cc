@@ -36,8 +36,8 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
                        &stats_);
   const uint32_t num_cols = 1u << num_clients_;
   // Submit all 2^N - 1 coalitions in mask order: the batched engine
-  // evaluates whole chunks per pass over the test set (parallelized over
-  // fixed sub-blocks), and the reads below are cache hits.
+  // evaluates them in parallel fixed blocks, one pass over the test set
+  // per block, and the reads below are cache hits.
   std::vector<Coalition> coalitions;
   coalitions.reserve(num_cols - 1);
   for (uint32_t mask = 1; mask < num_cols; ++mask) {

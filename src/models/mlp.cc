@@ -133,7 +133,8 @@ void Mlp::BatchLoss(const Matrix& param_rows, const Dataset& data,
         param_rows, b0, nb, off0.weights, off0.bias, off0.in, off0.out);
     const size_t cols = pack.cols;
 
-    std::vector<std::vector<std::vector<double>>> acts(nb);
+    std::vector<std::vector<std::vector<double>>> acts(
+        nb, std::vector<std::vector<double>>(num_layers()));
     std::vector<double> z(2 * cols);
     std::vector<double> totals(nb, 0.0);
     for (size_t i = 0; i < data.num_samples(); i += 2) {
@@ -146,7 +147,6 @@ void Mlp::BatchLoss(const Matrix& param_rows, const Dataset& data,
         const int label = data.label(i + s);
         const double* zs = z.data() + s * cols;
         for (size_t b = 0; b < nb; ++b) {
-          acts[b].resize(num_layers());
           acts[b][0].assign(zs + b * off0.out, zs + (b + 1) * off0.out);
           totals[b] +=
               ForwardTail(param_rows.RowPtr(b0 + b), label, &acts[b]);

@@ -12,7 +12,7 @@ namespace comfedsv {
 namespace {
 
 // Chunk size for prefetch submissions: bounds transient Coalition
-// storage while keeping BatchLoss chunks full.
+// storage while giving the batched engine many blocks per submission.
 constexpr size_t kPrefetchChunk = 8192;
 
 }  // namespace

@@ -9,10 +9,13 @@
 //
 // Batched engine: callers that know their coalition set up front (the
 // recorders, ExactShapley / MonteCarloShapley via the prefetch hook)
-// submit it to EvaluateBatch, which dedups, forms coalition aggregates
-// incrementally, and evaluates whole chunks with one Model::BatchLoss
-// pass over the test set instead of one Model::Loss per coalition —
-// the wall-clock bottleneck behind the paper's Fig. 8 comparison.
+// submit it to EvaluateBatch, which dedups and splits the pending
+// coalitions into blocks of up to kCoalitionBlock (8). One task per
+// worker takes blocks in turn: it forms a block's coalition means with
+// its own CoalitionAggregator and evaluates them with one
+// Model::BatchLoss pass over the test set instead of one Model::Loss
+// per coalition — the wall-clock bottleneck behind the paper's Fig. 8
+// comparison.
 #ifndef COMFEDSV_SHAPLEY_UTILITY_H_
 #define COMFEDSV_SHAPLEY_UTILITY_H_
 
@@ -37,8 +40,9 @@ struct UtilityStats {
   /// Test-loss evaluations actually spent: one per distinct non-empty
   /// coalition measured (the unit of the paper's Fig. 8 cost axis).
   int64_t loss_calls = 0;
-  /// Model::BatchLoss passes issued by the batched engine (each covers a
-  /// chunk of coalitions with one sweep over the test set).
+  /// Model::BatchLoss passes issued by the batched engine: one per block
+  /// of at most kCoalitionBlock (8) coalitions, each one sweep over the
+  /// test set. Depends only on the submissions, never on thread count.
   int64_t batched_calls = 0;
   /// Cache hits: queries answered from the per-round memo without a loss
   /// call (repeated Monte-Carlo draws, batch re-submissions).
@@ -70,11 +74,14 @@ struct UtilityStats {
 /// coalition reuses the longest shared ascending prefix and extends it
 /// with one Axpy per remaining member, instead of re-summing all |S|
 /// local models. Because every partial sum adds members in ascending
-/// order — the order RoundUtility::Utility sums them in — the produced
-/// aggregates are bit-identical to the sequential path.
+/// order from zero — the order RoundUtility::Utility sums them in — each
+/// mean is bit-identical to the sequential path whatever the chain held
+/// before, so independent aggregators may split one batch between them.
 ///
-/// Consecutive queries in subset-mask or sorted order share long
-/// prefixes, so amortized cost per coalition is O(1) Axpys.
+/// The saving depends on the query order. Consecutive subset masks share
+/// long prefixes (O(1) Axpys amortized), but Monte-Carlo permutation
+/// prefixes share only short ascending chains: about 14 Axpys per
+/// coalition were measured on the fig8 workload (60 clients).
 class CoalitionAggregator {
  public:
   /// `record` must outlive the aggregator.
@@ -133,13 +140,18 @@ class RoundUtility {
 
   /// Evaluates (and caches) every coalition in `coalitions` through the
   /// batched engine: dedups against the cache and within the batch
-  /// (preserving submission order), forms aggregates incrementally, and
-  /// computes whole chunks with one Model::BatchLoss pass over the test
-  /// set each. Subsequent Utility() calls are cache hits. Counters
-  /// advance once per distinct coalition, exactly as if each had been
-  /// evaluated singly; cached values are bit-identical to the unbatched
-  /// path for any thread count. Call from one thread (typically before
-  /// fanning out readers).
+  /// (preserving submission order), then splits the pending coalitions
+  /// into blocks of kCoalitionBlock, smaller when a batch has fewer than
+  /// 16 full blocks (the split depends only on the batch size, never on
+  /// the thread count). One ParallelFor over the context runs a task per
+  /// worker; each takes blocks in turn, aggregates a block's means with
+  /// its own CoalitionAggregator and evaluates them with one inline
+  /// Model::BatchLoss call. The cache is then filled in one locked pass
+  /// in submission order. Subsequent Utility() calls are cache hits.
+  /// Counters advance once per distinct coalition, exactly as if each had
+  /// been evaluated singly; cached values are bit-identical to the
+  /// unbatched path for any thread count. Call from one thread (typically
+  /// before fanning out readers).
   void EvaluateBatch(const std::vector<Coalition>& coalitions);
 
   /// Number of distinct coalitions evaluated so far this round.

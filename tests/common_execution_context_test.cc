@@ -120,6 +120,41 @@ TEST(ExecutionContextTest, ExceptionAbandonsRemainingWorkQuickly) {
   EXPECT_LT(executed.load(), n);
 }
 
+TEST(ExecutionContextTest, NestedParallelForRunsInlineOnWorkers) {
+  // A region issued from inside a region of the same pool must not
+  // deadlock on its own barrier; it runs inline on the issuing worker.
+  ExecutionContext ctx(4);
+  const int outer = 16, inner = 32;
+  std::vector<std::atomic<int>> hits(outer * inner);
+  std::vector<long> values(outer * inner, -1);
+  ctx.ParallelFor(outer, [&](int i) {
+    ParallelFor(&ctx, inner, [&](int j) {
+      hits[i * inner + j].fetch_add(1);
+      values[i * inner + j] = static_cast<long>(i) * 1000 + j;
+    });
+  });
+  for (int i = 0; i < outer; ++i) {
+    for (int j = 0; j < inner; ++j) {
+      EXPECT_EQ(hits[i * inner + j].load(), 1) << i << "," << j;
+      EXPECT_EQ(values[i * inner + j], static_cast<long>(i) * 1000 + j);
+    }
+  }
+
+  // Exceptions from a nested region reach the outermost caller.
+  EXPECT_THROW(ctx.ParallelFor(8,
+                               [&](int i) {
+                                 ctx.ParallelFor(8, [&](int j) {
+                                   if (i == 3 && j == 5) {
+                                     throw std::runtime_error("nested");
+                                   }
+                                 });
+                               }),
+               std::runtime_error);
+  std::atomic<int> count{0};
+  ctx.ParallelFor(32, [&](int) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 32);
+}
+
 TEST(FreeParallelForTest, NullContextRunsInlineInOrder) {
   std::vector<int> order;
   ParallelFor(nullptr, 5, [&](int i) { order.push_back(i); });

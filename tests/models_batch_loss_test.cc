@@ -5,6 +5,8 @@
 // RoundUtility::EvaluateBatch vs the unbatched Utility path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include "common/execution_context.h"
@@ -232,6 +234,102 @@ TEST(BatchLossTest, EvaluateBatchMatchesUnbatchedUtility) {
   EXPECT_EQ(unbatched_calls, static_cast<int64_t>(coalitions.size()));
 }
 
+// Monte-Carlo style submission: the prefixes of random permutations of
+// `n` clients, until `distinct` different coalitions are collected, plus
+// one repeated and one empty entry (which resolve as a hit and a skip).
+std::vector<Coalition> PermutationPrefixBatch(int n, int distinct,
+                                              uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Coalition> batch;
+  std::unordered_set<Coalition, CoalitionHash> seen;
+  while (static_cast<int>(seen.size()) < distinct) {
+    Coalition prefix(n);
+    for (int member : rng.Permutation(n)) {
+      prefix.Add(member);
+      if (static_cast<int>(seen.size()) == distinct) break;
+      if (seen.insert(prefix).second) batch.push_back(prefix);
+    }
+  }
+  batch.push_back(batch.front());
+  batch.push_back(Coalition(n));
+  return batch;
+}
+
+// EvaluateBatch splits its pending coalitions into blocks of up to
+// kCoalitionBlock (smaller for batches under 16 full blocks), each
+// aggregated and evaluated with one BatchLoss call by a pool task. Batch
+// sizes on both sides of the block edges must give the unbatched
+// Utility() values bit for bit, and identical UtilityStats for any
+// thread count — batched_calls included (one per block).
+void ExpectEvaluateBatchMatchesAcrossBlocks(const Model& model,
+                                            const Dataset& test) {
+  const int n = 12;
+  const RoundRecord rec = MakeRoundRecord(model, test, n, 61);
+  for (int distinct : {1, 7, 8, 9, 67, 128, 129}) {
+    const std::vector<Coalition> batch =
+        PermutationPrefixBatch(n, distinct, 62 + distinct);
+    RoundUtility unbatched(&model, &test, &rec);
+    UtilityStats stats_1t;
+    for (int threads : {1, 4}) {
+      ExecutionContext ctx(threads);
+      UtilityStats stats;
+      int64_t calls = 0;
+      RoundUtility batched(&model, &test, &rec, &calls, &ctx, &stats);
+      batched.EvaluateBatch(batch);
+      for (const Coalition& c : batch) {
+        EXPECT_EQ(batched.Utility(c), unbatched.Utility(c))
+            << model.name() << " distinct=" << distinct
+            << " threads=" << threads;
+      }
+      const int64_t block = std::clamp<int64_t>(
+          (distinct + 15) / 16, 1,
+          static_cast<int64_t>(internal::kCoalitionBlock));
+      const int64_t blocks = (distinct + block - 1) / block;
+      EXPECT_EQ(calls, distinct);
+      EXPECT_EQ(stats.loss_calls, distinct);
+      EXPECT_EQ(stats.distinct_coalitions, distinct);
+      EXPECT_EQ(stats.batched_calls, blocks);
+      // One in-batch duplicate, then every non-empty readback is a hit.
+      EXPECT_EQ(stats.memo_hits, 1 + distinct + 1);
+      if (threads == 1) {
+        stats_1t = stats;
+        continue;
+      }
+      EXPECT_EQ(stats.loss_calls, stats_1t.loss_calls);
+      EXPECT_EQ(stats.batched_calls, stats_1t.batched_calls);
+      EXPECT_EQ(stats.memo_hits, stats_1t.memo_hits);
+      EXPECT_EQ(stats.distinct_coalitions, stats_1t.distinct_coalitions);
+      EXPECT_EQ(stats.surrogate_skips, stats_1t.surrogate_skips);
+      EXPECT_EQ(stats.surrogate_bias_bound, stats_1t.surrogate_bias_bound);
+    }
+  }
+}
+
+TEST(BatchLossTest, EvaluateBatchBitIdenticalAcrossBlockEdgesLogistic) {
+  const int dim = 29;
+  LogisticRegression model(dim, 6, 1e-3);
+  ExpectEvaluateBatchMatchesAcrossBlocks(model,
+                                         MakeData(37, dim, 6, 63, true));
+}
+
+TEST(BatchLossTest, EvaluateBatchBitIdenticalAcrossBlockEdgesMlp) {
+  const int dim = 21;
+  Mlp model({static_cast<size_t>(dim), 32, 10}, 1e-4);
+  ExpectEvaluateBatchMatchesAcrossBlocks(model,
+                                         MakeData(33, dim, 10, 64, true));
+}
+
+TEST(BatchLossTest, EvaluateBatchBitIdenticalAcrossBlockEdgesCnn) {
+  CnnConfig cfg;  // default BatchLoss: one Loss per row
+  cfg.image_side = 6;
+  cfg.channels = 1;
+  cfg.num_filters = 3;
+  cfg.num_classes = 4;
+  Cnn model(cfg);
+  ExpectEvaluateBatchMatchesAcrossBlocks(model,
+                                         MakeData(15, 36, 4, 65, false));
+}
+
 // Every non-empty submission — whether through Utility() or a batch —
 // must land in exactly one UtilityStats counter: a loss call, a memo
 // hit, or a surrogate skip. Duplicates inside one submitted batch and
@@ -261,7 +359,7 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   EXPECT_EQ(stats.loss_calls, 3);           // a, b, c each measured once
   EXPECT_EQ(stats.distinct_coalitions, 3);
   EXPECT_EQ(stats.memo_hits, 2);            // cached a + duplicate b
-  EXPECT_EQ(stats.batched_calls, 1);
+  EXPECT_EQ(stats.batched_calls, 2);        // b and c: blocks of one
   EXPECT_EQ(calls, 3);
 
   // Resubmitting the whole batch resolves every non-empty entry as a
@@ -269,7 +367,7 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   utility.EvaluateBatch(batch);
   EXPECT_EQ(stats.loss_calls, 3);
   EXPECT_EQ(stats.memo_hits, 6);
-  EXPECT_EQ(stats.batched_calls, 1);        // nothing left to chunk
+  EXPECT_EQ(stats.batched_calls, 2);        // nothing left to evaluate
 }
 
 // Racing EvaluateBatch against concurrent Utility() queries for the
