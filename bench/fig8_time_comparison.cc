@@ -78,8 +78,8 @@ TimedRun RunBothPipelines(const bench::Workload& w, int rounds, int k,
                            static_cast<double>(rounds) *
                            static_cast<double>(com.num_columns);
   out.completion_iterations = com.completion.iterations;
-  out.fedsv_calls = fedsv_run.value().fedsv_loss_calls;
-  out.comfedsv_calls = com_run.value().comfedsv->loss_calls;
+  out.fedsv_calls = fedsv_run.value().fedsv_stats.loss_calls;
+  out.comfedsv_calls = com_run.value().comfedsv->stats.loss_calls;
   out.fedsv_values = *fedsv_run.value().fedsv_values;
   out.comfedsv_values = com_run.value().comfedsv->values;
   return out;

@@ -363,7 +363,7 @@ EvaluateBatchTiming TimeEvaluateBatchMlp(ExecutionContext* ctx) {
   timing.seconds = 1e30;
   for (int rep = 0; rep < 3; ++rep) {
     UtilityStats stats;
-    RoundUtility utility(&model, &test, &record, nullptr, ctx, &stats);
+    RoundUtility utility(&model, &test, &record, ctx, &stats);
     Stopwatch timer;
     utility.EvaluateBatch(batch);
     timing.seconds = std::min(timing.seconds, timer.ElapsedSeconds());

@@ -68,6 +68,33 @@ Status LoadTriplets(BinaryReader* in, std::vector<Observation>* triplets) {
   return Status::Ok();
 }
 
+// The six UtilityStats fields, in declaration order. Every evaluator
+// state chunk carries one, so a resumed run reports the accounting of
+// the whole trajectory.
+void SaveStats(const UtilityStats& stats, BinaryWriter* out) {
+  out->I64(stats.loss_calls);
+  out->I64(stats.batched_calls);
+  out->I64(stats.memo_hits);
+  out->I64(stats.distinct_coalitions);
+  out->I64(stats.surrogate_skips);
+  out->F64(stats.surrogate_bias_bound);
+}
+
+Status LoadStats(BinaryReader* in, UtilityStats* stats) {
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&stats->loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&stats->batched_calls));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&stats->memo_hits));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&stats->distinct_coalitions));
+  COMFEDSV_RETURN_IF_ERROR(in->I64(&stats->surrogate_skips));
+  COMFEDSV_RETURN_IF_ERROR(in->F64(&stats->surrogate_bias_bound));
+  if (stats->loss_calls < 0 || stats->batched_calls < 0 ||
+      stats->memo_hits < 0 || stats->distinct_coalitions < 0 ||
+      stats->surrogate_skips < 0 || !(stats->surrogate_bias_bound >= 0.0)) {
+    return Status::DataLoss("corrupt checkpoint: negative utility stats");
+  }
+  return Status::Ok();
+}
+
 // Presence flag + state chunk for one optional evaluator. Restoring a
 // checkpoint whose flags disagree with the current request is an error.
 Status LoadPresence(BinaryReader* in, bool expected, const char* what) {
@@ -121,7 +148,7 @@ void SaveFedSvState(const FedSvEvaluatorState& s, BinaryWriter* out) {
   const size_t handle = out->BeginChunk(ChunkTag::kFedSvState);
   SaveVector(s.values, out);
   SaveRngState(s.rng, out);
-  out->I64(s.loss_calls);
+  SaveStats(s.stats, out);
   out->EndChunk(handle);
 }
 
@@ -131,12 +158,8 @@ Status LoadFedSvState(BinaryReader* in, FedSvEvaluatorState* s) {
   FedSvEvaluatorState loaded;
   COMFEDSV_RETURN_IF_ERROR(LoadVector(in, &loaded.values));
   COMFEDSV_RETURN_IF_ERROR(LoadRngState(in, &loaded.rng));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
-  if (loaded.loss_calls < 0) {
-    return Status::DataLoss("corrupt FedSV state: negative "
-                                   "loss_calls");
-  }
   *s = std::move(loaded);
   return Status::Ok();
 }
@@ -148,7 +171,7 @@ void SaveFullRecorderState(const FullRecorderState& s, BinaryWriter* out) {
     out->U64(row.size());
     for (double v : row) out->F64(v);
   }
-  out->I64(s.loss_calls);
+  SaveStats(s.stats, out);
   out->F64(s.seconds);
   out->EndChunk(handle);
 }
@@ -173,7 +196,7 @@ Status LoadFullRecorderState(BinaryReader* in, FullRecorderState* s) {
           "corrupt full-recorder state: ragged rows");
     }
   }
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   *s = std::move(loaded);
@@ -186,7 +209,7 @@ void SaveObservedRecorderState(const ObservedRecorderState& s,
   SaveInterner(s.interner, out);
   SaveTriplets(s.triplets, out);
   out->I32(s.rounds_recorded);
-  out->I64(s.loss_calls);
+  SaveStats(s.stats, out);
   out->F64(s.seconds);
   out->EndChunk(handle);
 }
@@ -200,7 +223,7 @@ Status LoadObservedRecorderState(BinaryReader* in,
   COMFEDSV_RETURN_IF_ERROR(LoadInterner(in, &loaded.interner));
   COMFEDSV_RETURN_IF_ERROR(LoadTriplets(in, &loaded.triplets));
   COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_recorded));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
   COMFEDSV_RETURN_IF_ERROR(in->EndChunk(end));
   // Structural validation (triplets against interner/rounds) happens in
@@ -214,7 +237,7 @@ void SaveSampledRecorderState(const SampledRecorderState& s,
   const size_t handle = out->BeginChunk(ChunkTag::kSampledRecorderState);
   SaveTriplets(s.triplets, out);
   out->I32(s.rounds_recorded);
-  out->I64(s.loss_calls);
+  SaveStats(s.stats, out);
   out->F64(s.seconds);
   // Surrogate-screening extension: written only when screening is
   // configured, so non-screening checkpoints keep the exact pre-existing
@@ -246,7 +269,7 @@ Status LoadSampledRecorderState(BinaryReader* in,
   SampledRecorderState loaded;
   COMFEDSV_RETURN_IF_ERROR(LoadTriplets(in, &loaded.triplets));
   COMFEDSV_RETURN_IF_ERROR(in->I32(&loaded.rounds_recorded));
-  COMFEDSV_RETURN_IF_ERROR(in->I64(&loaded.loss_calls));
+  COMFEDSV_RETURN_IF_ERROR(LoadStats(in, &loaded.stats));
   COMFEDSV_RETURN_IF_ERROR(in->F64(&loaded.seconds));
   if (in->position() < end) {  // surrogate-screening extension present
     uint8_t has_surrogate = 0;
@@ -361,73 +384,6 @@ Status LoadEvaluatorStates(BinaryReader* in, FedSvEvaluator* fedsv,
         std::move(ground_truth_state)));
   }
   return Status::Ok();
-}
-
-std::string SerializeValuationCheckpoint(
-    uint64_t fingerprint, const FedAvgTrainer& trainer,
-    const FedSvEvaluator* fedsv, const ComFedSvEvaluator* comfedsv,
-    const GroundTruthEvaluator* ground_truth) {
-  BinaryWriter payload;
-  const size_t handle =
-      payload.BeginChunk(ChunkTag::kValuationCheckpoint);
-  payload.U64(fingerprint);
-  SaveTrainerState(trainer.SaveState(), &payload);
-  SaveEvaluatorStates(fedsv, comfedsv, ground_truth, &payload);
-  payload.EndChunk(handle);
-  return payload.buffer();
-}
-
-Status RestoreValuationCheckpoint(std::string_view payload,
-                                  uint64_t fingerprint,
-                                  FedAvgTrainer* trainer,
-                                  FedSvEvaluator* fedsv,
-                                  ComFedSvEvaluator* comfedsv,
-                                  GroundTruthEvaluator* ground_truth) {
-  BinaryReader reader(payload);
-  size_t end = 0;
-  COMFEDSV_RETURN_IF_ERROR(
-      reader.BeginChunk(ChunkTag::kValuationCheckpoint, &end));
-  uint64_t saved_fingerprint = 0;
-  COMFEDSV_RETURN_IF_ERROR(reader.U64(&saved_fingerprint));
-  if (saved_fingerprint != fingerprint) {
-    return Status::FailedPrecondition(
-        "checkpoint was saved under a different "
-        "config/data/model/request");
-  }
-
-  FedAvgTrainerState trainer_state;
-  COMFEDSV_RETURN_IF_ERROR(LoadTrainerState(&reader, &trainer_state));
-  COMFEDSV_RETURN_IF_ERROR(trainer->RestoreState(trainer_state));
-  // Parse-then-apply per evaluator; on error the pipeline is partially
-  // restored and the caller must abandon the resume or fully restore
-  // another payload over it (the CheckpointManager salvage loop does the
-  // latter — each older generation holds a complete state).
-  COMFEDSV_RETURN_IF_ERROR(
-      LoadEvaluatorStates(&reader, fedsv, comfedsv, ground_truth));
-  return reader.EndChunk(end);
-}
-
-Status SaveValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               const FedAvgTrainer& trainer,
-                               const FedSvEvaluator* fedsv,
-                               const ComFedSvEvaluator* comfedsv,
-                               const GroundTruthEvaluator* ground_truth) {
-  return WriteCheckpointFile(
-      path, ChunkTag::kValuationCheckpoint,
-      SerializeValuationCheckpoint(fingerprint, trainer, fedsv, comfedsv,
-                                   ground_truth));
-}
-
-Status LoadValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               FedAvgTrainer* trainer,
-                               FedSvEvaluator* fedsv,
-                               ComFedSvEvaluator* comfedsv,
-                               GroundTruthEvaluator* ground_truth) {
-  Result<std::string> payload =
-      ReadCheckpointFile(path, ChunkTag::kValuationCheckpoint);
-  if (!payload.ok()) return payload.status();
-  return RestoreValuationCheckpoint(payload.value(), fingerprint, trainer,
-                                    fedsv, comfedsv, ground_truth);
 }
 
 }  // namespace comfedsv

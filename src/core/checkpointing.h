@@ -1,14 +1,23 @@
-// Whole-pipeline checkpointing: composes the io/ building blocks into a
-// single versioned checkpoint of a mid-flight valuation run — trainer
-// state plus the accumulated state of every requested evaluator — so a
-// run killed after round t resumes from the round-t file and produces
-// bit-identical final values (tests/determinism_test.cc enforces this).
+// Checkpoint building blocks of a valuation run: the CheckpointConfig /
+// CheckpointHealth records of RunValuationCheckpointed, the fingerprints
+// a resume must match, and the evaluator-state chunk serializers.
 //
-// File layout: the io/serialize.h container (magic "CFSV", version,
-// checksum) around one kValuationCheckpoint chunk holding the
-// config/data fingerprint, the trainer state, and one presence-flagged
-// state chunk per evaluator. See README.md "Checkpointing & streaming
-// valuation".
+// The composite checkpoint itself is written and restored by
+// StreamingValuationEngine::SaveCheckpoint / RestoreCheckpoint (one
+// code path for the pipeline and the streaming engine). With a trainer
+// attached, its file (io/serialize.h container: magic "CFSV", version
+// 4, checksum) holds one kValuationCheckpoint chunk:
+//
+//   u64 ValuationFingerprint (trainer config/data/model + request)
+//   kTrainerState chunk
+//   kStreamingEngineState chunk (engine fingerprint, consumed rounds,
+//     per-round test losses, the evaluator states below, warm-start
+//     factors, and — spill mode only — the round-log position)
+//
+// Every evaluator state chunk carries its UtilityStats, so a run killed
+// after round t resumes with bit-identical values and the accounting of
+// the whole trajectory (tests/determinism_test.cc enforces both). See
+// README.md "The checkpoint file format".
 #ifndef COMFEDSV_CORE_CHECKPOINTING_H_
 #define COMFEDSV_CORE_CHECKPOINTING_H_
 
@@ -58,8 +67,9 @@ struct CheckpointConfig {
   int max_retries = 2;
   /// Base of the deterministic exponential retry backoff, ms.
   int retry_backoff_ms = 5;
-  /// When true, a cadence save that still fails after retries aborts
-  /// the run. Default: the run degrades — it keeps training on the last
+  /// When true, the first failed spill append, round-log sync or
+  /// cadence save (after retries) aborts the run with that operation's
+  /// status. Default: the run degrades — it keeps training on the last
   /// good in-memory state and reports the failures in
   /// ValuationOutcome::checkpoint_health.
   bool require_durable = false;
@@ -68,7 +78,9 @@ struct CheckpointConfig {
 
   // Spill-to-log (io/round_log.h): when round_log_path is non-empty,
   // every RoundRecord the run consumes is appended to a round log
-  // there, fsynced before each cadence checkpoint. A resumed run
+  // there, fsynced before each cadence checkpoint (a failed sync fails
+  // that save). Spill mode and the encoding are part of the resume
+  // fingerprint. A resumed run
   // truncates the log back to the checkpointed round before appending,
   // so the final log is byte-identical to an uninterrupted run's —
   // RunValuationFromLog can then re-value the whole trajectory with
@@ -88,15 +100,20 @@ struct CheckpointConfig {
 /// How checkpoint I/O fared over a RunValuationCheckpointed call —
 /// returned in ValuationOutcome::checkpoint_health so callers can tell
 /// "completed, fully durable" from "completed, but the last k saves
-/// failed and a crash would lose those rounds".
+/// failed and a crash would lose those rounds". Filled in one place
+/// from the engine's StreamingHealth (write_failures =
+/// checkpoint_failures, round_log_failures = spill_failures) and the
+/// CheckpointManager (orphan sweep, salvage, resumed sequence).
 struct CheckpointHealth {
   /// True when the most recent save attempt failed (the engine is
   /// running on borrowed time; a crash loses rounds_since_durable
   /// rounds of progress).
   bool degraded = false;
-  /// Cadence saves that failed after exhausting retries.
+  /// Cadence saves that failed after exhausting retries, including
+  /// saves failed by the round-log sync ahead of them.
   int64_t write_failures = 0;
-  /// Failed saves since the last successful one (0 when healthy).
+  /// Failed operations (spill, saves) since the last successful save
+  /// (0 when healthy).
   int64_t consecutive_failures = 0;
   /// Last I/O error observed, empty when none.
   std::string last_error;
@@ -109,11 +126,12 @@ struct CheckpointHealth {
   /// Header sequence of the generation the run resumed from (0 when the
   /// run started fresh).
   uint64_t resumed_sequence = 0;
-  /// Round-log appends/syncs that failed (spill mode only; the run kept
-  /// training — replaying the log would miss those rounds until a
-  /// resume truncates back past the gap).
+  /// Round-log opens/appends/syncs that failed (spill mode only; the
+  /// run kept training — replaying the log would miss those rounds
+  /// until a resume truncates back past the gap).
   int64_t round_log_failures = 0;
-  /// Rounds appended to the round log over this call (spill mode only).
+  /// Rounds in the round log when the call finished (spill mode only;
+  /// after a resume this includes the rounds logged before it).
   int round_log_rounds = 0;
   /// Bytes of the round log when the call finished (spill mode only).
   uint64_t round_log_bytes = 0;
@@ -150,9 +168,8 @@ void SaveSampledRecorderState(const SampledRecorderState& s,
 Status LoadSampledRecorderState(BinaryReader* in, SampledRecorderState* s);
 
 /// Presence-flagged state sequence for the three optional evaluators —
-/// the shared middle section of both the pipeline's
-/// kValuationCheckpoint chunk and the streaming engine's
-/// kStreamingEngineState chunk. Save records each evaluator as
+/// the middle section of the streaming engine's kStreamingEngineState
+/// chunk. Save records each evaluator as
 /// present/absent (plus the ComFedSV full-vs-sampled mode flag); Load
 /// requires the flags to match the evaluators passed in, parses every
 /// state chunk, and only then applies the restores. If an apply-phase
@@ -166,47 +183,6 @@ void SaveEvaluatorStates(const FedSvEvaluator* fedsv,
 Status LoadEvaluatorStates(BinaryReader* in, FedSvEvaluator* fedsv,
                            ComFedSvEvaluator* comfedsv,
                            GroundTruthEvaluator* ground_truth);
-
-/// Serializes the composite checkpoint payload (one kValuationCheckpoint
-/// chunk) for the given mid-run pipeline state — the bytes
-/// SaveValuationCheckpoint writes and CheckpointManager::Write rotates.
-std::string SerializeValuationCheckpoint(
-    uint64_t fingerprint, const FedAvgTrainer& trainer,
-    const FedSvEvaluator* fedsv, const ComFedSvEvaluator* comfedsv,
-    const GroundTruthEvaluator* ground_truth);
-
-/// Parses a SerializeValuationCheckpoint payload and applies it to the
-/// components. Returns DataLoss for corrupt bytes, FailedPrecondition
-/// for a fingerprint/request mismatch. On error the components may be
-/// partially restored — retry only by restoring another (complete)
-/// payload over them, or discard them.
-Status RestoreValuationCheckpoint(std::string_view payload,
-                                  uint64_t fingerprint,
-                                  FedAvgTrainer* trainer,
-                                  FedSvEvaluator* fedsv,
-                                  ComFedSvEvaluator* comfedsv,
-                                  GroundTruthEvaluator* ground_truth);
-
-/// Writes the composite checkpoint for the given mid-run pipeline state.
-/// Null evaluators are recorded as absent. `fingerprint` should be
-/// ValuationFingerprint of the run.
-Status SaveValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               const FedAvgTrainer& trainer,
-                               const FedSvEvaluator* fedsv,
-                               const ComFedSvEvaluator* comfedsv,
-                               const GroundTruthEvaluator* ground_truth);
-
-/// Restores a composite checkpoint into freshly constructed pipeline
-/// components. Returns NotFound when no file exists (callers start
-/// fresh), FailedPrecondition when the checkpoint's fingerprint or
-/// evaluator presence flags do not match this run, and other error codes
-/// for malformed bytes. On success the trainer is positioned at the
-/// checkpointed round and every evaluator holds its saved accumulation.
-Status LoadValuationCheckpoint(const std::string& path, uint64_t fingerprint,
-                               FedAvgTrainer* trainer,
-                               FedSvEvaluator* fedsv,
-                               ComFedSvEvaluator* comfedsv,
-                               GroundTruthEvaluator* ground_truth);
 
 }  // namespace comfedsv
 

@@ -105,7 +105,6 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
     if (!values.ok()) return values.status();
     out.values = std::move(values).value();
     out.completion = std::move(completion).value();
-    out.loss_calls = full_recorder_->loss_calls();
     out.stats = full_recorder_->stats();
     out.seconds = full_recorder_->seconds() + timer.ElapsedSeconds();
     return out;
@@ -130,7 +129,6 @@ Result<ComFedSvOutput> ComFedSvEvaluator::FinalizeImpl(
   if (!values.ok()) return values.status();
   out.values = std::move(values).value();
   out.completion = std::move(completion).value();
-  out.loss_calls = sampled_recorder_->loss_calls();
   out.stats = sampled_recorder_->stats();
   out.seconds = sampled_recorder_->seconds() + timer.ElapsedSeconds();
   return out;

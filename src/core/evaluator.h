@@ -50,12 +50,11 @@ struct ComFedSvOutput {
   CompletionResult completion;  ///< the fitted factors and diagnostics
   double observed_density = 0.0;  ///< fraction of matrix entries observed
   int num_columns = 0;            ///< columns in the completion problem
-  int64_t loss_calls = 0;         ///< test-loss evaluations spent
   double seconds = 0.0;           ///< recording + completion + formula time
   double completion_seconds = 0.0;  ///< wall time inside CompleteMatrix
   /// Measured evaluation accounting from the active recorder: loss
-  /// calls, batch passes, memo hits, and — under surrogate screening —
-  /// skips and the accumulated skip-bias bound.
+  /// calls (the Fig. 8 cost unit), batch passes, memo hits, and — under
+  /// surrogate screening — skips and the accumulated skip-bias bound.
   UtilityStats stats;
 };
 

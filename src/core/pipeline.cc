@@ -1,17 +1,18 @@
 #include "core/pipeline.h"
 
 #include <memory>
+#include <string>
 
-#include "common/stopwatch.h"
 #include "core/streaming.h"
 
 namespace comfedsv {
 namespace {
 
-// Shared driver of the plain and checkpointed pipelines. The trainer is
-// driven through its streaming lifecycle (Begin / Step / Finish) so the
-// checkpointed variant can persist and restore mid-run state between
-// rounds; the plain variant is the same loop with `checkpoint` null.
+// The one loop behind RunValuation and RunValuationCheckpointed: the
+// trainer's streaming lifecycle (Begin / Step / Finish) feeding one
+// StreamingValuationEngine, which owns the evaluators, the round-log
+// spill, the sync-then-save order, degraded-mode health and the outcome.
+// The plain variant is the same loop with `checkpoint` null.
 Result<ValuationOutcome> RunValuationImpl(const Model& model,
                                           std::vector<Dataset> client_data,
                                           Dataset test_data,
@@ -47,47 +48,21 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
 
   FedAvgTrainer trainer(&model, std::move(client_data),
                         std::move(test_data), fed_config, ctx);
-
-  std::unique_ptr<FedSvEvaluator> fedsv;
-  std::unique_ptr<ComFedSvEvaluator> comfedsv;
-  std::unique_ptr<GroundTruthEvaluator> ground_truth;
-  FanoutObserver fanout;
-
-  // Wall-time per observer, accumulated with a timing shim. (On a
-  // resumed run this counts only the resumed rounds.)
-  struct TimedObserver : RoundObserver {
-    RoundObserver* inner = nullptr;
-    double seconds = 0.0;
-    void OnRound(const RoundRecord& record) override {
-      Stopwatch timer;
-      inner->OnRound(record);
-      seconds += timer.ElapsedSeconds();
-    }
-  };
-  TimedObserver fedsv_timed;
-
-  if (request.compute_fedsv) {
-    fedsv = std::make_unique<FedSvEvaluator>(
-        &model, &trainer.test_data(), n, request.fedsv, ctx);
-    fedsv_timed.inner = fedsv.get();
-    fanout.Register(&fedsv_timed);
+  StreamingConfig config;
+  config.request = request;
+  if (checkpoint != nullptr && !checkpoint->round_log_path.empty()) {
+    config.spill.enabled = true;
+    config.spill.path = checkpoint->round_log_path;
+    config.spill.compression = checkpoint->round_log_compression;
+    config.spill.index_every = checkpoint->round_log_index_every;
+    config.spill.env = checkpoint->env;
   }
-  if (request.compute_comfedsv) {
-    comfedsv = std::make_unique<ComFedSvEvaluator>(
-        &model, &trainer.test_data(), n, request.comfedsv, ctx);
-    fanout.Register(comfedsv.get());
-  }
-  if (request.compute_ground_truth) {
-    ground_truth = std::make_unique<GroundTruthEvaluator>(
-        &model, &trainer.test_data(), n, ctx);
-    fanout.Register(ground_truth.get());
-  }
-
+  StreamingValuationEngine engine(&model, &trainer.test_data(), n,
+                                  std::move(config), ctx);
   COMFEDSV_RETURN_IF_ERROR(trainer.Begin());
 
-  uint64_t fingerprint = 0;
   std::unique_ptr<CheckpointManager> manager;
-  CheckpointHealth health;
+  int orphans_swept = 0;
   if (checkpoint != nullptr) {
     CheckpointManagerOptions mgr_options;
     mgr_options.keep_generations = checkpoint->keep_generations;
@@ -98,144 +73,62 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
                                                   std::move(mgr_options));
     // Startup sweep: clear `.tmp` debris a previous crash left behind.
     // A failed sweep is not fatal — stale temps are inert.
-    Result<int> swept = manager->SweepOrphans();
-    health.orphans_swept = swept.value_or(0);
-
-    fingerprint = ValuationFingerprint(trainer, request);
+    orphans_swept = manager->SweepOrphans().value_or(0);
     if (checkpoint->resume) {
-      Result<CheckpointManager::LoadInfo> loaded = manager->Load(
-          ChunkTag::kValuationCheckpoint,
-          [&](std::string_view payload, uint64_t /*sequence*/) {
-            return RestoreValuationCheckpoint(payload, fingerprint,
-                                              &trainer, fedsv.get(),
-                                              comfedsv.get(),
-                                              ground_truth.get());
-          });
-      if (loaded.ok()) {
-        health.quarantined_on_resume = loaded.value().quarantined;
-        health.resumed_sequence = loaded.value().sequence;
-      } else if (loaded.status().code() != StatusCode::kNotFound) {
-        // No checkpoint at all means a fresh run; anything else — every
-        // generation corrupt (DataLoss), fingerprint mismatch
-        // (FailedPrecondition), environment down — must not silently
-        // recompute T rounds.
-        return loaded.status();
+      // No checkpoint at all means a fresh run; anything else — every
+      // generation corrupt (DataLoss), fingerprint mismatch or version
+      // skew (FailedPrecondition), environment down — must not silently
+      // recompute T rounds.
+      Status restored = engine.RestoreCheckpoint(manager.get(), &trainer);
+      if (!restored.ok() && restored.code() != StatusCode::kNotFound) {
+        return restored;
       }
     }
   }
 
-  // Spill-to-log: open lazily per round so a transient open failure
-  // degrades (and retries) instead of aborting the run. A fresh run
-  // starts a new log; a resumed run re-opens behind the restored round,
-  // truncating frames the interrupted run appended past its last
-  // durable checkpoint.
-  std::unique_ptr<RoundLogWriter> round_log;
-  const bool spill =
-      checkpoint != nullptr && !checkpoint->round_log_path.empty();
-  auto spill_degrade = [&](const Status& st) {
-    health.degraded = true;
-    ++health.round_log_failures;
-    ++health.consecutive_failures;
-    health.last_error = st.ToString();
-  };
-  auto spill_append = [&](const RoundRecord& record,
-                          int completed) -> Status {
-    if (round_log == nullptr) {
-      RoundLogOptions log_options;
-      log_options.compression = checkpoint->round_log_compression;
-      log_options.index_every = checkpoint->round_log_index_every;
-      log_options.env = checkpoint->env;
-      Result<std::unique_ptr<RoundLogWriter>> opened =
-          completed == 0
-              ? RoundLogWriter::Create(checkpoint->round_log_path,
-                                       log_options)
-              : RoundLogWriter::OpenForAppend(checkpoint->round_log_path,
-                                              completed, log_options);
-      if (!opened.ok()) return opened.status();
-      round_log = std::move(opened).value();
-    }
-    return round_log->Append(record);
-  };
-
   while (!trainer.Done()) {
-    const int before = trainer.next_round();
-    const RoundRecord& record = trainer.Step();
-    fanout.OnRound(record);
-    if (spill) {
-      Status appended = spill_append(record, before);
-      if (!appended.ok()) {
-        if (checkpoint->require_durable) return appended;
-        spill_degrade(appended);
-      }
+    Status spilled = engine.Consume(trainer.Step());
+    if (checkpoint == nullptr) continue;
+    if (!spilled.ok() && checkpoint->require_durable) return spilled;
+    const int completed = trainer.next_round();
+    if (completed % checkpoint->every_rounds == 0 || trainer.Done()) {
+      // Graceful degradation: a failed save costs durability, not
+      // correctness (the in-memory state is intact), so the run keeps
+      // training and the engine's health reports the gap — unless the
+      // caller demanded durability.
+      Status saved = engine.SaveCheckpoint(manager.get(), &trainer);
+      if (!saved.ok() && checkpoint->require_durable) return saved;
     }
-    if (checkpoint != nullptr) {
-      const int completed = trainer.next_round();
-      ++health.rounds_since_durable;
-      if (completed % checkpoint->every_rounds == 0 || trainer.Done()) {
-        // The log syncs before the checkpoint that references it — a
-        // durable checkpoint must never point past the durable log.
-        if (round_log != nullptr) {
-          Status synced = round_log->Sync();
-          if (!synced.ok()) {
-            if (checkpoint->require_durable) return synced;
-            spill_degrade(synced);
-          }
-        }
-        Status saved = manager->Write(
-            ChunkTag::kValuationCheckpoint,
-            SerializeValuationCheckpoint(fingerprint, trainer, fedsv.get(),
-                                         comfedsv.get(),
-                                         ground_truth.get()));
-        if (saved.ok()) {
-          health.degraded = false;
-          health.consecutive_failures = 0;
-          health.rounds_since_durable = 0;
-        } else {
-          // Graceful degradation: the in-memory state is intact, so a
-          // failed save costs durability, not correctness. Keep
-          // training (the next cadence save retries from scratch) and
-          // report the gap — unless the caller demanded durability.
-          if (checkpoint->require_durable) return saved;
-          health.degraded = true;
-          ++health.write_failures;
-          ++health.consecutive_failures;
-          health.last_error = saved.ToString();
-        }
-      }
-      if (checkpoint->inject_crash_after_round >= 0 &&
-          completed >= checkpoint->inject_crash_after_round) {
-        return Status::Internal("injected crash after round " +
-                                std::to_string(completed));
-      }
+    if (checkpoint->inject_crash_after_round >= 0 &&
+        completed >= checkpoint->inject_crash_after_round) {
+      return Status::Internal("injected crash after round " +
+                              std::to_string(completed));
     }
   }
 
   Result<TrainingResult> training = trainer.Finish();
   if (!training.ok()) return training.status();
-
-  ValuationOutcome outcome;
-  outcome.training = std::move(training).value();
-  if (round_log != nullptr) {
-    health.round_log_rounds = round_log->rounds();
-    health.round_log_bytes = round_log->data_size();
-  }
-  if (checkpoint != nullptr) outcome.checkpoint_health = health;
-  if (fedsv != nullptr) {
-    outcome.fedsv_values = fedsv->values();
-    outcome.fedsv_loss_calls = fedsv->loss_calls();
-    outcome.fedsv_seconds = fedsv_timed.seconds;
-    outcome.fedsv_stats = fedsv->stats();
-  }
-  if (comfedsv != nullptr) {
-    Result<ComFedSvOutput> finalized = comfedsv->Finalize();
-    if (!finalized.ok()) return finalized.status();
-    outcome.comfedsv = std::move(finalized).value();
-  }
-  if (ground_truth != nullptr) {
-    Result<Vector> values = ground_truth->Finalize();
-    if (!values.ok()) return values.status();
-    outcome.ground_truth_values = std::move(values).value();
-    outcome.ground_truth_loss_calls = ground_truth->loss_calls();
+  Result<ValuationOutcome> outcome = engine.Finalize();
+  if (!outcome.ok()) return outcome.status();
+  outcome.value().training = std::move(training).value();
+  if (checkpoint != nullptr) {
+    const StreamingHealth& engine_health = engine.health();
+    CheckpointHealth& health = outcome.value().checkpoint_health.emplace();
+    health.degraded = engine_health.degraded;
+    health.write_failures = engine_health.checkpoint_failures;
+    health.consecutive_failures = engine_health.consecutive_failures;
+    health.last_error = engine_health.last_error;
+    health.rounds_since_durable =
+        static_cast<int>(engine_health.rounds_since_durable);
+    health.quarantined_on_resume =
+        static_cast<int>(manager->quarantined_total());
+    health.orphans_swept = orphans_swept;
+    health.resumed_sequence = manager->restored_sequence();
+    health.round_log_failures = engine_health.spill_failures;
+    if (const RoundLogWriter* log = engine.spill_writer(); log != nullptr) {
+      health.round_log_rounds = log->rounds();
+      health.round_log_bytes = log->data_size();
+    }
   }
   return outcome;
 }

@@ -2,6 +2,14 @@
 // compute any combination of FedSV, ComFedSV, and the ground truth on the
 // *same* training trajectory — exactly the paper's comparison protocol
 // ("the global models will be the same for all three metrics").
+//
+// All three entry points are one short loop over a source of
+// RoundRecords feeding one StreamingValuationEngine (core/streaming.h):
+// the trainer's Step() for RunValuation / RunValuationCheckpointed, a
+// RoundLogReader for RunValuationFromLog. The engine owns the
+// evaluators, the round-log spill, cadence checkpoints, degraded-mode
+// health and the outcome; the pipeline only maps the engine's health
+// onto CheckpointHealth.
 #ifndef COMFEDSV_CORE_PIPELINE_H_
 #define COMFEDSV_CORE_PIPELINE_H_
 
@@ -33,15 +41,18 @@ struct ValuationOutcome {
   TrainingResult training;
 
   std::optional<Vector> fedsv_values;
-  int64_t fedsv_loss_calls = 0;
+  /// Wall time inside FedSvEvaluator::OnRound (resumed rounds only after
+  /// a resume).
   double fedsv_seconds = 0.0;
   /// Measured FedSV evaluation accounting (loss calls, batch passes,
   /// memo hits); ComFedSV's equivalent rides inside `comfedsv->stats`.
+  /// Checkpointed, so a resumed run reports the whole trajectory.
   UtilityStats fedsv_stats;
 
   std::optional<ComFedSvOutput> comfedsv;
 
   std::optional<Vector> ground_truth_values;
+  /// The ground-truth recorder's UtilityStats::loss_calls.
   int64_t ground_truth_loss_calls = 0;
 
   /// Populated by RunValuationCheckpointed only: how checkpoint I/O
@@ -67,14 +78,23 @@ Result<ValuationOutcome> RunValuation(const Model& model,
                                       ExecutionContext* ctx = nullptr);
 
 /// RunValuation with crash-safe checkpointing: the run saves its
-/// complete state (trainer + every evaluator) to `checkpoint.path` every
+/// complete state (trainer + engine, via
+/// StreamingValuationEngine::SaveCheckpoint) to `checkpoint.path` every
 /// `checkpoint.every_rounds` rounds, and — when `checkpoint.resume` is
-/// set and the file exists — restarts from the checkpointed round
-/// instead of round 0. A resumed run produces final values bit-identical
-/// to an uninterrupted one (tests/determinism_test.cc): per-round
-/// randomness derives from (seed, round, client), and every sequential
-/// stream is part of the checkpoint. Resuming under a different
-/// config/data/model/request is an error, not a silent restart.
+/// set and a checkpoint exists — restarts from the checkpointed round
+/// instead of round 0. A resumed run produces final values and
+/// UtilityStats bit-identical to an uninterrupted one
+/// (tests/determinism_test.cc): per-round randomness derives from
+/// (seed, round, client), and every sequential stream is part of the
+/// checkpoint. Resuming under a different config/data/model/request,
+/// spill mode or round-log compression — or from a checkpoint of
+/// another format version — is FailedPrecondition, not a silent
+/// restart. With `checkpoint.round_log_path` set, every round is also
+/// spilled to a round log that is synced before each save; a failed
+/// sync fails that save. ValuationOutcome::checkpoint_health maps the
+/// engine's StreamingHealth (checkpoint_failures -> write_failures,
+/// spill_failures -> round_log_failures) plus the manager's sweep and
+/// load results.
 Result<ValuationOutcome> RunValuationCheckpointed(
     const Model& model, std::vector<Dataset> client_data, Dataset test_data,
     const FedAvgConfig& fed_config, const ValuationRequest& request,

@@ -32,8 +32,7 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
   // metric (the FedSV evaluators skip it too): record nothing.
   if (record.selected.empty()) return;
   Stopwatch timer;
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const uint32_t num_cols = 1u << num_clients_;
   // Submit all 2^N - 1 coalitions in mask order: the batched engine
   // evaluates them in parallel fixed blocks, one pass over the test set
@@ -57,7 +56,7 @@ void FullUtilityRecorder::OnRound(const RoundRecord& record) {
 }
 
 FullRecorderState FullUtilityRecorder::SaveState() const {
-  return {rows_, loss_calls_, seconds_};
+  return {rows_, stats_, seconds_};
 }
 
 Status FullUtilityRecorder::RestoreState(FullRecorderState state) {
@@ -68,12 +67,12 @@ Status FullUtilityRecorder::RestoreState(FullRecorderState state) {
           "full recorder state row width does not match 2^num_clients");
     }
   }
-  if (state.loss_calls < 0) {
+  if (state.stats.loss_calls < 0) {
     return Status::InvalidArgument("full recorder state loss_calls "
                                    "negative");
   }
   rows_ = std::move(state.rows);
-  loss_calls_ = state.loss_calls;
+  stats_ = state.stats;
   seconds_ = state.seconds;
   return Status::Ok();
 }
@@ -112,8 +111,7 @@ void ObservedUtilityRecorder::OnRound(const RoundRecord& record) {
   const int t = rounds_recorded_;
   const int m = static_cast<int>(record.selected.size());
   COMFEDSV_CHECK_LE(m, 20);  // 2^m utility evaluations below
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
 
   // Evaluate all 2^m - 1 non-empty observable utilities through the
   // batched engine (a few test-set passes instead of one per coalition),
@@ -152,7 +150,7 @@ ObservationSet ObservedUtilityRecorder::BuildObservations() const {
 }
 
 ObservedRecorderState ObservedUtilityRecorder::SaveState() const {
-  return {interner_, triplets_, rounds_recorded_, loss_calls_, seconds_};
+  return {interner_, triplets_, rounds_recorded_, stats_, seconds_};
 }
 
 Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
@@ -163,7 +161,7 @@ Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
         "observed recorder state interner does not anchor the empty "
         "coalition of this client universe at column 0");
   }
-  if (state.rounds_recorded < 0 || state.loss_calls < 0) {
+  if (state.rounds_recorded < 0 || state.stats.loss_calls < 0) {
     return Status::InvalidArgument(
         "observed recorder state counters negative");
   }
@@ -177,7 +175,7 @@ Status ObservedUtilityRecorder::RestoreState(ObservedRecorderState state) {
   interner_ = std::move(state.interner);
   triplets_ = std::move(state.triplets);
   rounds_recorded_ = state.rounds_recorded;
-  loss_calls_ = state.loss_calls;
+  stats_ = state.stats;
   seconds_ = state.seconds;
   return Status::Ok();
 }
@@ -233,8 +231,7 @@ void SampledUtilityRecorder::OnRound(const RoundRecord& record) {
   if (record.selected.empty()) return;
   Stopwatch timer;
   const int t = rounds_recorded_;
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   const Coalition selected =
       Coalition::FromMembers(num_clients_, record.selected);
 
@@ -510,7 +507,7 @@ SampledRecorderState SampledUtilityRecorder::SaveState() const {
   SampledRecorderState state;
   state.triplets = triplets_;
   state.rounds_recorded = rounds_recorded_;
-  state.loss_calls = loss_calls_;
+  state.stats = stats_;
   state.seconds = seconds_;
   // Screening decisions depend on this cross-round state, so it must
   // resume bit-identically whenever screening is configured (even if the
@@ -525,7 +522,7 @@ SampledRecorderState SampledUtilityRecorder::SaveState() const {
 }
 
 Status SampledUtilityRecorder::RestoreState(SampledRecorderState state) {
-  if (state.rounds_recorded < 0 || state.loss_calls < 0) {
+  if (state.rounds_recorded < 0 || state.stats.loss_calls < 0) {
     return Status::InvalidArgument(
         "sampled recorder state counters negative");
   }
@@ -552,7 +549,7 @@ Status SampledUtilityRecorder::RestoreState(SampledRecorderState state) {
   }
   triplets_ = std::move(state.triplets);
   rounds_recorded_ = state.rounds_recorded;
-  loss_calls_ = state.loss_calls;
+  stats_ = state.stats;
   seconds_ = state.seconds;
   return Status::Ok();
 }

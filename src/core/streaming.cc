@@ -1,9 +1,11 @@
 #include "core/streaming.h"
 
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/fingerprint.h"
+#include "io/checkpoint.h"
 #include "io/checkpoint_manager.h"
 
 namespace comfedsv {
@@ -14,7 +16,8 @@ StreamingValuationEngine::StreamingValuationEngine(
     : model_(model),
       test_data_(test_data),
       num_clients_(num_clients),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      ctx_(ctx) {
   COMFEDSV_CHECK(model_ != nullptr);
   COMFEDSV_CHECK(test_data_ != nullptr);
   COMFEDSV_CHECK_GT(num_clients_, 0);
@@ -33,17 +36,33 @@ StreamingValuationEngine::StreamingValuationEngine(
   }
 }
 
-void StreamingValuationEngine::OnRound(const RoundRecord& record) {
-  if (config_.spill.enabled) SpillRound(record);
+Status StreamingValuationEngine::Consume(const RoundRecord& record) {
+  Status spilled =
+      config_.spill.enabled ? SpillRound(record) : Status::Ok();
   if (fedsv_ != nullptr) fedsv_->OnRound(record);
   if (comfedsv_ != nullptr) comfedsv_->OnRound(record);
   if (ground_truth_ != nullptr) ground_truth_->OnRound(record);
   test_loss_history_.push_back(record.test_loss_before);
   ++rounds_consumed_;
   ++health_.rounds_since_durable;
+  return spilled;
 }
 
-void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
+void StreamingValuationEngine::Degrade(int64_t* counter, const char* what,
+                                       const Status& status) {
+  health_.degraded = true;
+  ++*counter;
+  ++health_.consecutive_failures;
+  health_.last_error = status.ToString();
+  if (ctx_ != nullptr) {
+    ctx_->Log(LogLevel::kWarning,
+              std::string("valuation degraded after round ") +
+                  std::to_string(rounds_consumed_) + ": " + what +
+                  " failed: " + health_.last_error);
+  }
+}
+
+Status StreamingValuationEngine::SpillRound(const RoundRecord& record) {
   if (spill_writer_ == nullptr) {
     RoundLogOptions options;
     options.compression = config_.spill.compression;
@@ -58,11 +77,8 @@ void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
             : RoundLogWriter::OpenForAppend(config_.spill.path,
                                             rounds_consumed_, options);
     if (!opened.ok()) {
-      health_.degraded = true;
-      ++health_.spill_failures;
-      ++health_.consecutive_failures;
-      health_.last_error = opened.status().ToString();
-      return;
+      Degrade(&health_.spill_failures, "round-log open", opened.status());
+      return opened.status();
     }
     spill_writer_ = std::move(opened).value();
     // When the restored checkpoint recorded a log position for exactly
@@ -70,78 +86,40 @@ void StreamingValuationEngine::SpillRound(const RoundRecord& record) {
     // anything else means the log and the checkpoint diverged.
     if (restored_spill_rounds_ == rounds_consumed_ &&
         spill_writer_->data_size() != restored_spill_bytes_) {
-      health_.degraded = true;
-      ++health_.spill_failures;
-      ++health_.consecutive_failures;
-      health_.last_error =
+      const Status diverged = Status::DataLoss(
           "round log size after realignment does not match the "
-          "checkpointed position";
+          "checkpointed position");
+      Degrade(&health_.spill_failures, "round-log realignment", diverged);
       spill_writer_.reset();
-      return;
+      return diverged;
     }
     restored_spill_rounds_ = -1;
   }
   Status appended = spill_writer_->Append(record);
   if (!appended.ok()) {
-    health_.degraded = true;
-    ++health_.spill_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = appended.ToString();
+    Degrade(&health_.spill_failures, "round-log append", appended);
   }
+  return appended;
 }
 
 Status StreamingValuationEngine::SyncSpill() {
   if (spill_writer_ == nullptr) return Status::Ok();
   Status synced = spill_writer_->Sync();
-  if (!synced.ok()) {
-    health_.degraded = true;
-    ++health_.spill_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = synced.ToString();
-  }
+  if (!synced.ok()) Degrade(&health_.spill_failures, "round-log sync", synced);
   return synced;
 }
 
-Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
+Result<ValuationOutcome> StreamingValuationEngine::Outcome(
+    std::optional<ComFedSvOutput> comfedsv) const {
   ValuationOutcome out;
   out.training.rounds_run = rounds_consumed_;
   out.training.test_loss_history = test_loss_history_;
   if (fedsv_ != nullptr) {
     out.fedsv_values = fedsv_->values();
-    out.fedsv_loss_calls = fedsv_->loss_calls();
+    out.fedsv_seconds = fedsv_->seconds();
     out.fedsv_stats = fedsv_->stats();
   }
-  if (comfedsv_ != nullptr) {
-    const bool stale_ok =
-        last_output_.has_value() &&
-        rounds_consumed_ - last_solve_round_ < config_.resolve_cadence;
-    if (!stale_ok) {
-      Result<ComFedSvOutput> solved =
-          (config_.warm_start && factors_.has_value())
-              ? comfedsv_->FinalizeWarm(*factors_, config_.warm_max_iters)
-              : comfedsv_->Finalize();
-      if (!solved.ok()) {
-        // Degrade instead of poisoning the stream: the recorders are
-        // untouched by a failed solve, so the last good output is still
-        // a valid (stale) valuation of an earlier prefix. With nothing
-        // to fall back on the error surfaces as before.
-        if (!last_output_.has_value()) return solved.status();
-        health_.degraded = true;
-        ++health_.stale_snapshots;
-        ++health_.consecutive_failures;
-        health_.last_error = solved.status().ToString();
-      } else {
-        health_.degraded = false;
-        health_.consecutive_failures = 0;
-        last_output_ = std::move(solved).value();
-        factors_ = FactorPair{last_output_->completion.w,
-                              last_output_->completion.h};
-        last_solve_round_ = rounds_consumed_;
-        ArmSurrogate();
-      }
-    }
-    out.comfedsv = *last_output_;
-  }
+  out.comfedsv = std::move(comfedsv);
   if (ground_truth_ != nullptr) {
     Result<Vector> values = ground_truth_->Finalize();
     if (!values.ok()) return values.status();
@@ -151,27 +129,42 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
   return out;
 }
 
+Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
+  if (comfedsv_ == nullptr) return Outcome(std::nullopt);
+  const bool stale_ok =
+      last_output_.has_value() &&
+      rounds_consumed_ - last_solve_round_ < config_.resolve_cadence;
+  if (!stale_ok) {
+    Result<ComFedSvOutput> solved =
+        (config_.warm_start && factors_.has_value())
+            ? comfedsv_->FinalizeWarm(*factors_, config_.warm_max_iters)
+            : comfedsv_->Finalize();
+    if (!solved.ok()) {
+      // Degrade instead of poisoning the stream: the recorders are
+      // untouched by a failed solve, so the last good output is still a
+      // valid (stale) valuation of an earlier prefix. With nothing to
+      // fall back on the error surfaces as before.
+      if (!last_output_.has_value()) return solved.status();
+      Degrade(&health_.stale_snapshots, "snapshot re-solve",
+              solved.status());
+    } else {
+      health_.degraded = false;
+      health_.consecutive_failures = 0;
+      last_output_ = std::move(solved).value();
+      factors_ = FactorPair{last_output_->completion.w,
+                            last_output_->completion.h};
+      last_solve_round_ = rounds_consumed_;
+      ArmSurrogate();
+    }
+  }
+  return Outcome(last_output_);
+}
+
 Result<ValuationOutcome> StreamingValuationEngine::Finalize() const {
-  ValuationOutcome out;
-  out.training.rounds_run = rounds_consumed_;
-  out.training.test_loss_history = test_loss_history_;
-  if (fedsv_ != nullptr) {
-    out.fedsv_values = fedsv_->values();
-    out.fedsv_loss_calls = fedsv_->loss_calls();
-    out.fedsv_stats = fedsv_->stats();
-  }
-  if (comfedsv_ != nullptr) {
-    Result<ComFedSvOutput> solved = comfedsv_->Finalize();
-    if (!solved.ok()) return solved.status();
-    out.comfedsv = std::move(solved).value();
-  }
-  if (ground_truth_ != nullptr) {
-    Result<Vector> values = ground_truth_->Finalize();
-    if (!values.ok()) return values.status();
-    out.ground_truth_values = std::move(values).value();
-    out.ground_truth_loss_calls = ground_truth_->loss_calls();
-  }
-  return out;
+  if (comfedsv_ == nullptr) return Outcome(std::nullopt);
+  Result<ComFedSvOutput> solved = comfedsv_->Finalize();
+  if (!solved.ok()) return solved.status();
+  return Outcome(std::move(solved).value());
 }
 
 double StreamingValuationEngine::PredictedUtility(
@@ -334,45 +327,70 @@ Status StreamingValuationEngine::RestoreState(BinaryReader* in) {
   return Status::Ok();
 }
 
-Status StreamingValuationEngine::SaveCheckpoint(CheckpointManager* manager) {
+Status StreamingValuationEngine::SaveCheckpoint(
+    CheckpointManager* manager, const FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
   // Durability order: the log first, then the checkpoint that records
   // its position — a checkpoint must never reference log bytes that are
   // not on disk. A failed log sync fails the save (retried next time);
   // the engine's in-memory state is untouched either way.
-  if (config_.spill.enabled && spill_writer_ != nullptr) {
-    Status synced = SyncSpill();
-    if (!synced.ok()) {
-      ++health_.checkpoint_failures;
-      return synced;
-    }
-  }
-  BinaryWriter payload;
-  SaveState(&payload);
-  Status saved =
-      manager->Write(ChunkTag::kStreamingEngineState, payload.buffer());
+  Status saved = SyncSpill();
   if (saved.ok()) {
-    health_.degraded = false;
-    health_.consecutive_failures = 0;
-    health_.rounds_since_durable = 0;
-  } else {
-    health_.degraded = true;
-    ++health_.checkpoint_failures;
-    ++health_.consecutive_failures;
-    health_.last_error = saved.ToString();
+    BinaryWriter payload;
+    ChunkTag root = ChunkTag::kStreamingEngineState;
+    if (trainer != nullptr) {
+      root = ChunkTag::kValuationCheckpoint;
+      const size_t handle = payload.BeginChunk(root);
+      payload.U64(ValuationFingerprint(*trainer, config_.request));
+      SaveTrainerState(trainer->SaveState(), &payload);
+      SaveState(&payload);
+      payload.EndChunk(handle);
+    } else {
+      SaveState(&payload);
+    }
+    saved = manager->Write(root, payload.buffer());
   }
+  if (!saved.ok()) {
+    Degrade(&health_.checkpoint_failures, "checkpoint save", saved);
+    return saved;
+  }
+  health_.degraded = false;
+  health_.consecutive_failures = 0;
+  health_.rounds_since_durable = 0;
   return saved;
 }
 
 Status StreamingValuationEngine::RestoreCheckpoint(
-    CheckpointManager* manager) {
+    CheckpointManager* manager, FedAvgTrainer* trainer) {
   COMFEDSV_CHECK(manager != nullptr);
+  auto restore = [this, trainer](std::string_view payload,
+                                 uint64_t /*sequence*/) -> Status {
+    BinaryReader reader(payload);
+    if (trainer == nullptr) return RestoreState(&reader);
+    size_t end = 0;
+    COMFEDSV_RETURN_IF_ERROR(
+        reader.BeginChunk(ChunkTag::kValuationCheckpoint, &end));
+    uint64_t fingerprint = 0;
+    COMFEDSV_RETURN_IF_ERROR(reader.U64(&fingerprint));
+    if (fingerprint != ValuationFingerprint(*trainer, config_.request)) {
+      return Status::FailedPrecondition(
+          "checkpoint was saved under a different "
+          "config/data/model/request");
+    }
+    FedAvgTrainerState trainer_state;
+    COMFEDSV_RETURN_IF_ERROR(LoadTrainerState(&reader, &trainer_state));
+    COMFEDSV_RETURN_IF_ERROR(trainer->RestoreState(trainer_state));
+    COMFEDSV_RETURN_IF_ERROR(RestoreState(&reader));
+    if (rounds_consumed_ != trainer->next_round()) {
+      return Status::DataLoss(
+          "corrupt checkpoint: engine and trainer rounds disagree");
+    }
+    return reader.EndChunk(end);
+  };
   Result<CheckpointManager::LoadInfo> loaded = manager->Load(
-      ChunkTag::kStreamingEngineState,
-      [this](std::string_view payload, uint64_t /*sequence*/) {
-        BinaryReader reader(payload);
-        return RestoreState(&reader);
-      });
+      trainer != nullptr ? ChunkTag::kValuationCheckpoint
+                         : ChunkTag::kStreamingEngineState,
+      restore);
   if (!loaded.ok()) return loaded.status();
   health_.degraded = false;
   health_.consecutive_failures = 0;

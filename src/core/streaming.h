@@ -21,9 +21,18 @@
 //     ComFedSvEvaluator::Finalize, so after the full round sequence its
 //     outputs are bit-identical to RunValuation on the same trajectory
 //     (tests/determinism_test.cc enforces this).
-//   * SaveState/RestoreState checkpoint the whole engine mid-stream
-//     (io chunk kStreamingEngineState), composing with the trainer's
-//     checkpoint for crash-safe continuous valuation.
+//   * SaveCheckpoint/RestoreCheckpoint persist the whole engine
+//     mid-stream through a CheckpointManager (io chunk
+//     kStreamingEngineState). Given the trainer, the same calls write
+//     and restore the pipeline checkpoint (kValuationCheckpoint: run
+//     fingerprint + trainer state + engine state), so RunValuation and
+//     RunValuationCheckpointed are a loop of trainer.Step() into one
+//     engine: spill, the sync-then-save order, degraded-mode health and
+//     outcome assembly exist only here.
+//   * Every degraded operation (failed spill append/sync, failed save,
+//     stale snapshot) is counted in health() and logged as one
+//     LogLevel::kWarning line through the engine's ExecutionContext
+//     (silent without one).
 #ifndef COMFEDSV_CORE_STREAMING_H_
 #define COMFEDSV_CORE_STREAMING_H_
 
@@ -40,10 +49,11 @@ namespace comfedsv {
 
 class CheckpointManager;  // io/checkpoint_manager.h
 
-/// How the engine's fallible operations (snapshot re-solves, checkpoint
-/// writes) have fared. The engine survives both failure kinds by
-/// retaining its last good state; this reports how much trust that
-/// state deserves right now.
+/// How the engine's fallible operations (snapshot re-solves, round-log
+/// spill, checkpoint writes) have fared. The engine survives every
+/// failure kind by retaining its last good state; this reports how much
+/// trust that state deserves right now. RunValuationCheckpointed maps it
+/// onto CheckpointHealth.
 struct StreamingHealth {
   /// True while the most recent fallible operation failed; clears as
   /// soon as one succeeds (the engine recovered).
@@ -53,7 +63,8 @@ struct StreamingHealth {
   int64_t stale_snapshots = 0;
   /// SaveCheckpoint() calls that failed after the manager's retries.
   int64_t checkpoint_failures = 0;
-  /// Failures since the last successful solve/save (0 when healthy).
+  /// Failed operations (spill appends/syncs, saves, re-solves) since
+  /// the last successful solve/save (0 when healthy).
   int64_t consecutive_failures = 0;
   /// Last error observed; empty when none ever occurred.
   std::string last_error;
@@ -61,10 +72,10 @@ struct StreamingHealth {
   /// right now would lose). Counts from engine construction until the
   /// first successful SaveCheckpoint/RestoreCheckpoint.
   int64_t rounds_since_durable = 0;
-  /// Round-log appends that failed (spill mode only). The engine keeps
-  /// streaming — the record still fed the evaluators — but replaying
-  /// the log will be missing those rounds until a later resume
-  /// truncates back past the gap.
+  /// Round-log opens, appends and syncs that failed (spill mode only).
+  /// The engine keeps streaming — the record still fed the evaluators —
+  /// but replaying the log will be missing those rounds until a later
+  /// resume truncates back past the gap.
   int64_t spill_failures = 0;
 };
 
@@ -124,13 +135,19 @@ class StreamingValuationEngine : public RoundObserver {
  public:
   /// `model` / `test_data` as for the evaluators (must outlive the
   /// engine; `test_data` is the server test set the trainer holds).
-  /// `ctx` (optional) parallelizes recording and solves; outputs are
-  /// bit-identical for any thread count.
+  /// `ctx` (optional) parallelizes recording and solves, and receives
+  /// the degraded-mode warnings; outputs are bit-identical for any
+  /// thread count.
   StreamingValuationEngine(const Model* model, const Dataset* test_data,
                            int num_clients, StreamingConfig config,
                            ExecutionContext* ctx = nullptr);
 
-  void OnRound(const RoundRecord& record) override;
+  void OnRound(const RoundRecord& record) override { (void)Consume(record); }
+
+  /// OnRound that also returns the round's spill status: Ok with spill
+  /// off, else the status of the log open/append. A failure is recorded
+  /// in health() either way; callers that demand durability abort on it.
+  Status Consume(const RoundRecord& record);
 
   /// Rounds consumed so far (including empty-selected rounds, which
   /// contribute zero everywhere).
@@ -151,21 +168,33 @@ class StreamingValuationEngine : public RoundObserver {
   /// output to fall back on is still an error.
   Result<ValuationOutcome> Snapshot();
 
-  /// Degraded-mode bookkeeping (stale snapshots, failed saves).
+  /// Degraded-mode bookkeeping (stale snapshots, spill failures, failed
+  /// saves).
   const StreamingHealth& health() const { return health_; }
 
   /// Persists the engine state through `manager` (one
   /// kStreamingEngineState generation; rotation/retry per the manager's
-  /// options). A failure is recorded in health() and returned, but
-  /// leaves the engine fully usable — streaming continues on the
-  /// in-memory state and the next save retries from scratch.
-  Status SaveCheckpoint(CheckpointManager* manager);
+  /// options). With `trainer`, the generation is the pipeline checkpoint
+  /// instead: one kValuationCheckpoint chunk holding
+  /// ValuationFingerprint(trainer, request), the trainer state and the
+  /// engine state. In spill mode the round log is synced first; a failed
+  /// sync fails the save (no generation is written — a checkpoint must
+  /// never reference log bytes that are not durable). A failure is
+  /// recorded in health() and returned, but leaves the engine fully
+  /// usable — streaming continues on the in-memory state and the next
+  /// save retries from scratch.
+  Status SaveCheckpoint(CheckpointManager* manager,
+                        const FedAvgTrainer* trainer = nullptr);
 
   /// Restores the newest resumable generation from `manager`,
-  /// quarantining corrupt ones on the way (salvage). NotFound means
-  /// nothing to restore (the engine is untouched); on other errors
-  /// discard the engine as for RestoreState.
-  Status RestoreCheckpoint(CheckpointManager* manager);
+  /// quarantining corrupt ones on the way (salvage). With `trainer`, reads
+  /// the pipeline checkpoint SaveCheckpoint(manager, trainer) wrote and
+  /// restores the trainer too; a fingerprint mismatch is
+  /// FailedPrecondition. NotFound means nothing to restore (engine and
+  /// trainer untouched); on other errors discard both as for
+  /// RestoreState.
+  Status RestoreCheckpoint(CheckpointManager* manager,
+                           FedAvgTrainer* trainer = nullptr);
 
   /// Batch-equivalent valuation of the consumed prefix: always a cold
   /// completion solve, bit-identical to RunValuation's outputs on the
@@ -202,6 +231,15 @@ class StreamingValuationEngine : public RoundObserver {
 
  private:
   uint64_t ConfigFingerprint() const;
+  /// The one ValuationOutcome assembly behind Snapshot and Finalize:
+  /// the consumed prefix's training view, FedSV, `comfedsv` (when on)
+  /// and the ground truth.
+  Result<ValuationOutcome> Outcome(
+      std::optional<ComFedSvOutput> comfedsv) const;
+  /// Records a failed fallible operation in health() — degraded, the
+  /// given failure counter, the consecutive count, last_error — and logs
+  /// one warning line through ctx_ (silent when ctx_ is null).
+  void Degrade(int64_t* counter, const char* what, const Status& status);
   /// Points the sampled recorder's surrogate at the current factors
   /// (no-op unless config_.surrogate_screening and a sampled recorder
   /// and factors exist). Called after every solve and after a restore.
@@ -209,13 +247,14 @@ class StreamingValuationEngine : public RoundObserver {
   /// Appends `record` to the round log, lazily opening the writer —
   /// Create on a fresh stream, OpenForAppend(rounds_consumed_) when
   /// resuming over an existing log. Failures degrade health instead of
-  /// poisoning the stream.
-  void SpillRound(const RoundRecord& record);
+  /// poisoning the stream; the status is returned for Consume.
+  Status SpillRound(const RoundRecord& record);
 
   const Model* model_;
   const Dataset* test_data_;
   int num_clients_;
   StreamingConfig config_;
+  ExecutionContext* ctx_;  // not owned; null = inline, no logging
 
   std::unique_ptr<FedSvEvaluator> fedsv_;
   std::unique_ptr<ComFedSvEvaluator> comfedsv_;

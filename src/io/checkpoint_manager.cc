@@ -248,6 +248,7 @@ Result<CheckpointManager::LoadInfo> CheckpointManager::Load(
     }
     next_sequence_ = std::max(next_sequence_, sequence + 1);
     restored_file_ = file;
+    restored_sequence_ = sequence;
     LoadInfo info;
     info.payload = std::move(payload).value();
     info.sequence = sequence;

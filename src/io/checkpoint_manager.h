@@ -111,6 +111,9 @@ class CheckpointManager {
   /// Lifetime counters, for health reporting and the recovery bench.
   int64_t write_retries() const { return write_retries_; }
   int64_t quarantined_total() const { return quarantined_total_; }
+  /// Header sequence of the generation the last successful Load
+  /// restored (0 when nothing was loaded).
+  uint64_t restored_sequence() const { return restored_sequence_; }
 
  private:
   std::string GenerationPath(uint64_t sequence) const;
@@ -142,6 +145,7 @@ class CheckpointManager {
   /// rotation (especially with a freshly-lowered keep_generations)
   /// must not delete the only state the run is built on.
   std::string restored_file_;
+  uint64_t restored_sequence_ = 0;
 };
 
 }  // namespace comfedsv

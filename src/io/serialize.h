@@ -40,7 +40,11 @@ inline constexpr uint32_t kCheckpointMagic = 0x56534643u;
 /// checkpoint stream, used by CheckpointManager generation rotation)
 /// and the checksum now covers the header prefix as well as the
 /// payload, so corruption of any header field is detected.
-inline constexpr uint32_t kCheckpointVersion = 3;
+/// v4: the pipeline checkpoint (kValuationCheckpoint) nests the
+/// streaming engine's kStreamingEngineState chunk after the trainer
+/// state, and every evaluator state chunk stores its UtilityStats in
+/// place of a bare loss-call count.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 /// Chunk type tags. Stable on disk — append, never renumber.
 enum class ChunkTag : uint32_t {

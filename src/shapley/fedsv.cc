@@ -1,6 +1,7 @@
 #include "shapley/fedsv.h"
 
 #include "common/check.h"
+#include "common/stopwatch.h"
 #include "shapley/shapley.h"
 #include "shapley/utility.h"
 
@@ -24,7 +25,7 @@ FedSvEvaluatorState FedSvEvaluator::SaveState() const {
   FedSvEvaluatorState state;
   state.values = values_;
   state.rng = rng_.SaveState();
-  state.loss_calls = loss_calls_;
+  state.stats = stats_;
   return state;
 }
 
@@ -33,12 +34,12 @@ Status FedSvEvaluator::RestoreState(const FedSvEvaluatorState& state) {
     return Status::InvalidArgument(
         "FedSV state has a different client count");
   }
-  if (state.loss_calls < 0) {
+  if (state.stats.loss_calls < 0) {
     return Status::InvalidArgument("FedSV state loss_calls negative");
   }
   values_ = state.values;
   rng_ = Rng::FromState(state.rng);
-  loss_calls_ = state.loss_calls;
+  stats_ = state.stats;
   return Status::Ok();
 }
 
@@ -48,9 +49,9 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   // client's contribution is zero, so the round is skipped instead of
   // tripping the estimators' "no players" guard.
   if (record.selected.empty()) return;
+  Stopwatch timer;
   const int n = static_cast<int>(values_.size());
-  RoundUtility utility(model_, test_data_, &record, &loss_calls_, ctx_,
-                       &stats_);
+  RoundUtility utility(model_, test_data_, &record, ctx_, &stats_);
   UtilityFn fn = [&utility](const Coalition& c) {
     return utility.Utility(c);
   };
@@ -78,6 +79,7 @@ void FedSvEvaluator::OnRound(const RoundRecord& record) {
   }
   COMFEDSV_CHECK_OK(round_values.status());
   values_ += round_values.value();
+  seconds_ += timer.ElapsedSeconds();
 }
 
 }  // namespace comfedsv

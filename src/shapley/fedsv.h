@@ -40,13 +40,13 @@ struct FedSvConfig {
 };
 
 /// Checkpointable mid-run FedSV accumulation: the running per-client
-/// sums, the Monte-Carlo permutation stream, and the loss-call counter.
-/// Serialized by the core checkpoint layer; restored via
+/// sums, the Monte-Carlo permutation stream, and the evaluation
+/// accounting. Serialized by the core checkpoint layer; restored via
 /// FedSvEvaluator::RestoreState.
 struct FedSvEvaluatorState {
   Vector values;
   RngState rng;
-  int64_t loss_calls = 0;
+  UtilityStats stats;
 };
 
 /// Everything a FedSV run produced: the accumulated values plus the
@@ -55,7 +55,6 @@ struct FedSvEvaluatorState {
 /// re-deriving them).
 struct FedSvOutput {
   Vector values;
-  int64_t loss_calls = 0;
   UtilityStats stats;
 };
 
@@ -77,17 +76,19 @@ class FedSvEvaluator : public RoundObserver {
   const Vector& values() const { return values_; }
 
   /// Total test-loss evaluations spent (the Fig. 8 cost unit).
-  int64_t loss_calls() const { return loss_calls_; }
+  int64_t loss_calls() const { return stats_.loss_calls; }
 
   /// Measured evaluation accounting accumulated across rounds (loss
-  /// calls, batched passes, memo hits, distinct coalitions). Diagnostic:
-  /// not checkpointed, so after RestoreState it covers the resumed
-  /// portion only (loss_calls stays authoritative either way).
+  /// calls, batched passes, memo hits, distinct coalitions); part of the
+  /// checkpointed state, so a resumed run reports the whole trajectory.
   const UtilityStats& stats() const { return stats_; }
 
-  /// values/loss_calls/stats bundled for callers that surface them
-  /// together (bench, pipeline).
-  FedSvOutput Output() const { return {values_, loss_calls_, stats_}; }
+  /// Wall time spent inside OnRound. Not checkpointed: after
+  /// RestoreState it covers the resumed rounds only.
+  double seconds() const { return seconds_; }
+
+  /// values/stats bundled for callers that surface them together.
+  FedSvOutput Output() const { return {values_, stats_}; }
 
   /// Snapshot of the accumulation after any number of rounds.
   FedSvEvaluatorState SaveState() const;
@@ -104,8 +105,8 @@ class FedSvEvaluator : public RoundObserver {
   ExecutionContext* ctx_;  // not owned; null = inline execution
   Vector values_;
   Rng rng_;
-  int64_t loss_calls_ = 0;
   UtilityStats stats_;
+  double seconds_ = 0.0;
 };
 
 }  // namespace comfedsv

@@ -60,12 +60,11 @@ void CoalitionAggregator::MeanInto(const Coalition& coalition, double* out) {
 }
 
 RoundUtility::RoundUtility(const Model* model, const Dataset* test_data,
-                           const RoundRecord* record, int64_t* loss_calls,
-                           ExecutionContext* ctx, UtilityStats* stats)
+                           const RoundRecord* record, ExecutionContext* ctx,
+                           UtilityStats* stats)
     : model_(model),
       test_data_(test_data),
       record_(record),
-      loss_calls_(loss_calls),
       ctx_(ctx),
       stats_(stats) {
   COMFEDSV_CHECK(model_ != nullptr);
@@ -101,7 +100,6 @@ double RoundUtility::Utility(const Coalition& coalition) {
   MutexLock lock(mu_);
   auto [it, inserted] = cache_.emplace(coalition, utility);
   if (inserted) {
-    if (loss_calls_ != nullptr) ++(*loss_calls_);
     ++distinct_evaluations_;
     if (stats_ != nullptr) {
       ++stats_->loss_calls;
@@ -203,7 +201,6 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
     auto [it, inserted] =
         cache_.emplace(pending[r], record_->test_loss_before - losses[r]);
     if (inserted) {
-      if (loss_calls_ != nullptr) ++(*loss_calls_);
       ++distinct_evaluations_;
       if (stats_ != nullptr) {
         ++stats_->loss_calls;

@@ -115,15 +115,13 @@ class CoalitionAggregator {
 /// cached value is deterministic either way.
 class RoundUtility {
  public:
-  /// `loss_calls` is an optional shared counter of test-loss evaluations,
-  /// accumulated across rounds by the callers that own it. `ctx`
-  /// (optional) parallelizes EvaluateBatch; a null context evaluates
-  /// batches inline. `stats` (optional) accumulates the full measured
-  /// accounting (loss calls, batch passes, memo hits) across rounds;
-  /// its loss_calls field advances in lockstep with `loss_calls`.
+  /// `ctx` (optional) parallelizes EvaluateBatch; a null context
+  /// evaluates batches inline. `stats` (optional) is the caller-owned
+  /// measured accounting (loss calls, batch passes, memo hits),
+  /// accumulated across rounds — the only loss-call counter.
   RoundUtility(const Model* model, const Dataset* test_data,
-               const RoundRecord* record, int64_t* loss_calls = nullptr,
-               ExecutionContext* ctx = nullptr, UtilityStats* stats = nullptr);
+               const RoundRecord* record, ExecutionContext* ctx = nullptr,
+               UtilityStats* stats = nullptr);
 
   /// Records a utility value supplied by a surrogate predictor instead of
   /// a measurement: future Utility()/EvaluateBatch queries for this
@@ -165,10 +163,9 @@ class RoundUtility {
   const Dataset* test_data_;
   const RoundRecord* record_;
   mutable Mutex mu_;  // guards the memo table and every counter
-  // Caller-owned counter/stats sinks: the pointers are set once in the
-  // constructor, but the pointees are only ever mutated with mu_ held.
-  int64_t* loss_calls_ PT_GUARDED_BY(mu_);
   ExecutionContext* ctx_;  // not owned; null = inline batch evaluation
+  // Caller-owned stats sink: the pointer is set once in the constructor,
+  // but the pointee is only ever mutated with mu_ held.
   UtilityStats* stats_ PT_GUARDED_BY(mu_);  // not owned; optional
   int64_t distinct_evaluations_ GUARDED_BY(mu_) = 0;
   std::unordered_map<Coalition, double, CoalitionHash> cache_

@@ -60,9 +60,9 @@ TEST(PipelineTest, ComputesAllRequestedMetrics) {
   EXPECT_EQ(o.fedsv_values->size(), 5u);
   EXPECT_EQ(o.comfedsv->values.size(), 5u);
   EXPECT_EQ(o.ground_truth_values->size(), 5u);
-  EXPECT_GT(o.fedsv_loss_calls, 0);
-  EXPECT_GT(o.comfedsv->loss_calls, 0);
-  EXPECT_GT(o.ground_truth_loss_calls, o.comfedsv->loss_calls);
+  EXPECT_GT(o.fedsv_stats.loss_calls, 0);
+  EXPECT_GT(o.comfedsv->stats.loss_calls, 0);
+  EXPECT_GT(o.ground_truth_loss_calls, o.comfedsv->stats.loss_calls);
   EXPECT_EQ(o.training.rounds_run, 5);
 }
 

@@ -105,9 +105,9 @@ TEST(DeterminismTest, SampledPipelineIsThreadCountInvariant) {
 
   // Loss-call accounting counts distinct coalitions, which is also
   // thread-count invariant.
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
+  EXPECT_EQ(inline_run.fedsv_stats.loss_calls, threaded_run.fedsv_stats.loss_calls);
+  EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
+            threaded_run.comfedsv->stats.loss_calls);
 
   // Training itself must match too (pre-split per-client RNG streams).
   ExpectBitIdentical(inline_run.training.final_params,
@@ -175,9 +175,9 @@ TEST(DeterminismTest, SamplerPipelinesAreThreadCountInvariant) {
     ExpectBitIdentical(inline_run.comfedsv->values,
                        threaded_run.comfedsv->values,
                        "sampler ComFedSV inline vs threads=4");
-    EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-    EXPECT_EQ(inline_run.comfedsv->loss_calls,
-              threaded_run.comfedsv->loss_calls);
+    EXPECT_EQ(inline_run.fedsv_stats.loss_calls, threaded_run.fedsv_stats.loss_calls);
+    EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
+              threaded_run.comfedsv->stats.loss_calls);
   }
 }
 
@@ -224,9 +224,9 @@ TEST(DeterminismTest, BatchedEngineMlpPipelineIsThreadCountInvariant) {
   ExpectBitIdentical(inline_run.comfedsv->values,
                      threaded_run.comfedsv->values,
                      "MLP ComFedSV inline vs threads=4");
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
+  EXPECT_EQ(inline_run.fedsv_stats.loss_calls, threaded_run.fedsv_stats.loss_calls);
+  EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
+            threaded_run.comfedsv->stats.loss_calls);
 }
 
 TEST(DeterminismTest, SmoothedAlsCompletionIsThreadCountInvariant) {
@@ -338,18 +338,35 @@ TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
   }
 }
 
+// All six UtilityStats fields: a resumed run must report the accounting
+// of the whole trajectory, not just the rounds after the resume.
+void ExpectStatsEqual(const UtilityStats& a, const UtilityStats& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.loss_calls, b.loss_calls) << what << " loss_calls";
+  EXPECT_EQ(a.batched_calls, b.batched_calls) << what << " batched_calls";
+  EXPECT_EQ(a.memo_hits, b.memo_hits) << what << " memo_hits";
+  EXPECT_EQ(a.distinct_coalitions, b.distinct_coalitions)
+      << what << " distinct_coalitions";
+  EXPECT_EQ(a.surrogate_skips, b.surrogate_skips)
+      << what << " surrogate_skips";
+  EXPECT_EQ(a.surrogate_bias_bound, b.surrogate_bias_bound)
+      << what << " surrogate_bias_bound";
+}
+
 void ExpectOutcomesBitIdentical(const ValuationOutcome& a,
                                 const ValuationOutcome& b,
                                 const char* what) {
   ASSERT_EQ(a.fedsv_values.has_value(), b.fedsv_values.has_value()) << what;
   if (a.fedsv_values.has_value()) {
     ExpectBitIdentical(*a.fedsv_values, *b.fedsv_values, what);
-    EXPECT_EQ(a.fedsv_loss_calls, b.fedsv_loss_calls) << what;
+    ExpectStatsEqual(a.fedsv_stats, b.fedsv_stats,
+                     std::string(what) + " FedSV");
   }
   ASSERT_EQ(a.comfedsv.has_value(), b.comfedsv.has_value()) << what;
   if (a.comfedsv.has_value()) {
     ExpectBitIdentical(a.comfedsv->values, b.comfedsv->values, what);
-    EXPECT_EQ(a.comfedsv->loss_calls, b.comfedsv->loss_calls) << what;
+    ExpectStatsEqual(a.comfedsv->stats, b.comfedsv->stats,
+                     std::string(what) + " ComFedSV");
     EXPECT_TRUE(a.comfedsv->completion.w == b.comfedsv->completion.w)
         << what << " completion W";
     EXPECT_TRUE(a.comfedsv->completion.h == b.comfedsv->completion.h)
@@ -780,9 +797,9 @@ TEST(DeterminismTest, AdaptiveAndScreenedPipelineIsThreadCountInvariant) {
 
   // The full accounting — loss calls, memo hits, skips, and the bias
   // bound — is part of the determinism contract too.
-  EXPECT_EQ(inline_run.fedsv_loss_calls, threaded_run.fedsv_loss_calls);
-  EXPECT_EQ(inline_run.comfedsv->loss_calls,
-            threaded_run.comfedsv->loss_calls);
+  EXPECT_EQ(inline_run.fedsv_stats.loss_calls, threaded_run.fedsv_stats.loss_calls);
+  EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
+            threaded_run.comfedsv->stats.loss_calls);
   EXPECT_EQ(inline_run.comfedsv->stats.loss_calls,
             threaded_run.comfedsv->stats.loss_calls);
   EXPECT_EQ(inline_run.comfedsv->stats.memo_hits,

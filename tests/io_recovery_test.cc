@@ -6,8 +6,10 @@
 // valuation bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -530,6 +532,72 @@ TEST_F(IoRecoveryTest, StreamingHealthDegradesAndRecovers) {
   EXPECT_EQ(resumed->health().rounds_since_durable, 0);
 }
 
+// Every degraded operation logs one warning line through the engine's
+// ExecutionContext — a failed spill append and a failed save alike —
+// and an engine without a context stays silent.
+TEST_F(IoRecoveryTest, DegradedOperationsLogOneWarningEach) {
+  StreamScenario s;
+  FaultInjectingFileEnv fault;
+  FedAvgTrainer trainer(&s.model, s.w.clients, s.w.test, s.fed_cfg);
+  ASSERT_TRUE(trainer.Begin().ok());
+  const RoundRecord first = trainer.Step();
+
+  // Runs `op` with `failpoint` failing every hit; returns what was
+  // logged to stderr meanwhile.
+  auto logged_by = [](const char* failpoint, const std::function<void()>& op) {
+    Arm(failpoint, FailpointTrigger::EveryN(1), FaultAction::kError);
+    ::testing::internal::CaptureStderr();
+    op();
+    FailpointRegistry::Global().ClearAll();
+    return ::testing::internal::GetCapturedStderr();
+  };
+  for (bool with_ctx : {true, false}) {
+    SCOPED_TRACE(with_ctx ? "with context" : "without context");
+    const std::string dir = Dir(with_ctx ? "ctx" : "no_ctx");
+    ExecutionContext ctx(1, 0, LogLevel::kInfo);
+    ExecutionContext* log_ctx = with_ctx ? &ctx : nullptr;
+
+    StreamingConfig spilling = s.streaming;
+    spilling.spill.enabled = true;
+    spilling.spill.path = dir + "/rounds.log";
+    spilling.spill.env = &fault;
+    StreamingValuationEngine spill_engine(
+        &s.model, &s.w.test, StreamScenario::kClients, spilling, log_ctx);
+    const std::string append_log =
+        logged_by(failpoints::kAppendFile, [&] {
+          EXPECT_EQ(spill_engine.Consume(first).code(),
+                    StatusCode::kUnavailable);
+        });
+    EXPECT_EQ(spill_engine.health().spill_failures, 1);
+
+    StreamingValuationEngine save_engine(
+        &s.model, &s.w.test, StreamScenario::kClients, s.streaming, log_ctx);
+    save_engine.OnRound(first);
+    CheckpointManager manager(dir + "/stream.ckpt",
+                              FastOptions(&fault, 2, /*max_retries=*/0));
+    const std::string save_log = logged_by(failpoints::kWriteFile, [&] {
+      EXPECT_FALSE(save_engine.SaveCheckpoint(&manager).ok());
+    });
+    EXPECT_EQ(save_engine.health().checkpoint_failures, 1);
+
+    if (with_ctx) {
+      EXPECT_EQ(append_log.rfind("[WARN] ", 0), 0u) << append_log;
+      EXPECT_NE(append_log.find("round-log append failed"), std::string::npos)
+          << append_log;
+      EXPECT_EQ(std::count(append_log.begin(), append_log.end(), '\n'), 1)
+          << append_log;
+      EXPECT_EQ(save_log.rfind("[WARN] ", 0), 0u) << save_log;
+      EXPECT_NE(save_log.find("checkpoint save failed"), std::string::npos)
+          << save_log;
+      EXPECT_EQ(std::count(save_log.begin(), save_log.end(), '\n'), 1)
+          << save_log;
+    } else {
+      EXPECT_EQ(append_log, "");
+      EXPECT_EQ(save_log, "");
+    }
+  }
+}
+
 TEST_F(IoRecoveryTest, CrashSweepRecoversBitIdenticalAtEveryFailpoint) {
   StreamScenario s;
 
@@ -915,6 +983,104 @@ TEST_F(IoRecoveryTest, PipelineSurvivesCheckpointWriteFailures) {
       model, w.clients, w.test, fed_cfg, request, strict);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable);
+}
+
+// The round log syncs before the checkpoint that records its position,
+// and a failed sync fails that save: no generation may reference log
+// bytes that are not durable. A tracing pilot finds the kSyncFile hit
+// of the log sync before round 2's save (the last sync of the log data
+// file ahead of the second checkpoint write); failing exactly that hit
+// must cost round 2 its generation and count as a write failure — or,
+// under require_durable, abort with the sync's status code.
+TEST_F(IoRecoveryTest, FailedLogSyncFailsThatCheckpoint) {
+  const int n = 3;
+  Workload w = MakeWorkload(n, 808);
+  LogisticRegression model(w.test.dim(), 10);
+
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 3;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 81;
+
+  ValuationRequest request;
+  request.compute_fedsv = true;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.fedsv.seed = 82;
+  request.compute_comfedsv = false;
+
+  // Records every fsync's path, in call order — with the registry's
+  // per-name hit counter this maps each hit number to a file.
+  struct SyncRecordingEnv : FaultInjectingFileEnv {
+    Status SyncFile(const std::string& path) override {
+      synced.push_back(path);
+      return FaultInjectingFileEnv::SyncFile(path);
+    }
+    std::vector<std::string> synced;
+  };
+  auto config = [&](const std::string& name, FileEnv* env) {
+    const std::string dir = Dir(name);
+    CheckpointConfig ckpt;
+    ckpt.path = dir + "/run.ckpt";
+    ckpt.every_rounds = 1;
+    ckpt.keep_generations = fed_cfg.num_rounds;  // nothing pruned
+    ckpt.max_retries = 0;
+    ckpt.env = env;
+    ckpt.round_log_path = dir + "/rounds.log";
+    return ckpt;
+  };
+
+  int64_t sync_hit = 0;
+  {
+    SyncRecordingEnv recording;
+    const CheckpointConfig pilot = config("pilot", &recording);
+    FailpointRegistry::Global().set_tracing(true);
+    ASSERT_TRUE(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
+                                         request, pilot)
+                    .ok());
+    ASSERT_EQ(FailpointRegistry::Global().hits(failpoints::kSyncFile),
+              static_cast<int64_t>(recording.synced.size()));
+    FailpointRegistry::Global().ClearAll();
+    int checkpoint_syncs = 0;
+    for (size_t i = 0; i < recording.synced.size(); ++i) {
+      const std::string& path = recording.synced[i];
+      if (path == pilot.round_log_path) sync_hit = static_cast<int64_t>(i) + 1;
+      if (path.rfind(pilot.path, 0) == 0 && ++checkpoint_syncs == 2) break;
+    }
+    ASSERT_EQ(checkpoint_syncs, 2);
+    ASSERT_GT(sync_hit, 0);
+  }
+
+  FaultInjectingFileEnv fault;
+  const CheckpointConfig ckpt = config("degraded", &fault);
+  Arm(failpoints::kSyncFile, FailpointTrigger::OnHit(sync_hit),
+      FaultAction::kError);
+  Result<ValuationOutcome> degraded = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  FailpointRegistry::Global().ClearAll();
+  const CheckpointHealth& health = *degraded.value().checkpoint_health;
+  EXPECT_EQ(health.write_failures, 1);
+  EXPECT_EQ(health.round_log_failures, 1);
+  EXPECT_FALSE(health.degraded);  // round 3's save recovered
+  EXPECT_EQ(health.round_log_rounds, fed_cfg.num_rounds);
+  CheckpointManager inspect(ckpt.path,
+                            FastOptions(FileEnv::Real(), fed_cfg.num_rounds));
+  EXPECT_EQ(inspect.ListGenerations().size(),
+            static_cast<size_t>(fed_cfg.num_rounds - 1))
+      << "round 2 was checkpointed over an unsynced log";
+
+  CheckpointConfig strict = config("strict", &fault);
+  strict.require_durable = true;
+  Arm(failpoints::kSyncFile, FailpointTrigger::OnHit(sync_hit),
+      FaultAction::kError);
+  Result<ValuationOutcome> aborted = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, strict);
+  FailpointRegistry::Global().ClearAll();
+  EXPECT_EQ(aborted.status().code(), StatusCode::kUnavailable)
+      << aborted.status().ToString();
+  CheckpointManager strict_inspect(
+      strict.path, FastOptions(FileEnv::Real(), fed_cfg.num_rounds));
+  EXPECT_EQ(strict_inspect.ListGenerations().size(), 1u);
 }
 
 TEST_F(IoRecoveryTest, PipelineResumeSalvagesOlderGeneration) {

@@ -393,6 +393,16 @@ void ExpectVectorsBitIdentical(const Vector& a, const Vector& b,
   }
 }
 
+void ExpectStatsEqual(const UtilityStats& a, const UtilityStats& b,
+                      const char* what) {
+  EXPECT_EQ(a.loss_calls, b.loss_calls) << what;
+  EXPECT_EQ(a.batched_calls, b.batched_calls) << what;
+  EXPECT_EQ(a.memo_hits, b.memo_hits) << what;
+  EXPECT_EQ(a.distinct_coalitions, b.distinct_coalitions) << what;
+  EXPECT_EQ(a.surrogate_skips, b.surrogate_skips) << what;
+  EXPECT_EQ(a.surrogate_bias_bound, b.surrogate_bias_bound) << what;
+}
+
 TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
   constexpr int kClients = 4;
   GoldenWorkload w = MakeGoldenWorkload(kClients, 7117);
@@ -522,6 +532,7 @@ TEST_F(RoundLogTest, EngineRestoreTruncatesLogBackToCheckpointedRound) {
   CheckpointManagerOptions mgr_options;
   mgr_options.keep_generations = 2;
   CheckpointManager manager(stem, mgr_options);
+  ValuationOutcome at_save;
   {
     StreamingConfig cfg = streaming;
     cfg.spill.path = crash_log;
@@ -533,6 +544,9 @@ TEST_F(RoundLogTest, EngineRestoreTruncatesLogBackToCheckpointedRound) {
       engine.OnRound(record);
       if (engine.rounds_consumed() == 2) {
         ASSERT_TRUE(engine.SaveCheckpoint(&manager).ok());
+        Result<ValuationOutcome> saved = engine.Finalize();
+        ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+        at_save = saved.value();
       }
     }
     EXPECT_EQ(engine.spill_writer()->rounds(), 3);  // round 3 is extra
@@ -547,6 +561,13 @@ TEST_F(RoundLogTest, EngineRestoreTruncatesLogBackToCheckpointedRound) {
     StreamingValuationEngine engine(&model, &w.test, kClients, cfg);
     ASSERT_TRUE(engine.RestoreCheckpoint(&manager).ok());
     ASSERT_EQ(engine.rounds_consumed(), 2);
+    // The round trip restores the evaluation accounting too.
+    Result<ValuationOutcome> restored = engine.Finalize();
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectStatsEqual(restored.value().fedsv_stats, at_save.fedsv_stats,
+                     "FedSV stats after restore");
+    ExpectStatsEqual(restored.value().comfedsv->stats,
+                     at_save.comfedsv->stats, "ComFedSV stats after restore");
     FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg);
     ASSERT_TRUE(trainer.Begin().ok());
     while (!trainer.Done()) {
@@ -563,6 +584,152 @@ TEST_F(RoundLogTest, EngineRestoreTruncatesLogBackToCheckpointedRound) {
   ASSERT_TRUE(clean_bytes.ok());
   ASSERT_TRUE(crash_bytes.ok());
   EXPECT_EQ(clean_bytes.value(), crash_bytes.value());
+}
+
+// ---------------------------------------------------------------------
+// Pipeline-level spill: kill, resume, replay.
+// ---------------------------------------------------------------------
+
+// RunValuationCheckpointed drives the streaming engine, so a spilling
+// run killed mid-stream and resumed must leave the log byte-identical
+// to an uninterrupted run's, and the values and stats bit-identical —
+// for any thread count. Saves every second round, so the kill after
+// round 3 leaves one log frame past the checkpoint (truncated on
+// resume) and the kill after round 1 leaves no checkpoint at all (a
+// fresh restart over the stale log).
+TEST_F(RoundLogTest, PipelineSpillResumeMatchesUninterruptedRun) {
+  constexpr int kClients = 4;
+  GoldenWorkload w = MakeGoldenWorkload(kClients, 5151);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 4;
+  fed_cfg.clients_per_round = 3;
+  fed_cfg.seed = 23;
+  const ValuationRequest request = GoldenRequest();
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecutionContext ctx(threads);
+    auto config = [&](const std::string& tag) {
+      CheckpointConfig ckpt;
+      ckpt.path = Path("ckpt_" + tag);
+      ckpt.every_rounds = 2;
+      ckpt.keep_generations = 2;
+      ckpt.round_log_path = Path("spill_" + tag + ".log");
+      return ckpt;
+    };
+    const CheckpointConfig clean = config("clean" + std::to_string(threads));
+    Result<ValuationOutcome> baseline = RunValuationCheckpointed(
+        model, w.clients, w.test, fed_cfg, request, clean, &ctx);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    Result<std::string> baseline_log =
+        FileEnv::Real()->ReadFile(clean.round_log_path);
+    ASSERT_TRUE(baseline_log.ok());
+
+    for (int crash_round : {1, 3}) {
+      SCOPED_TRACE("crash after round " + std::to_string(crash_round));
+      CheckpointConfig ckpt = config(std::to_string(threads) + "_" +
+                                     std::to_string(crash_round));
+      ckpt.inject_crash_after_round = crash_round;
+      Result<ValuationOutcome> crashed = RunValuationCheckpointed(
+          model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
+      ASSERT_EQ(crashed.status().code(), StatusCode::kInternal);
+
+      ckpt.inject_crash_after_round = -1;
+      Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+          model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
+      ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+      const CheckpointHealth& health = *resumed.value().checkpoint_health;
+      EXPECT_EQ(health.round_log_failures, 0);
+      EXPECT_EQ(health.round_log_rounds, fed_cfg.num_rounds);
+      EXPECT_FALSE(health.degraded);
+
+      Result<std::string> log = FileEnv::Real()->ReadFile(ckpt.round_log_path);
+      ASSERT_TRUE(log.ok());
+      EXPECT_EQ(log.value(), baseline_log.value())
+          << "resumed log diverges from the uninterrupted run's";
+      ExpectVectorsBitIdentical(*resumed.value().fedsv_values,
+                                *baseline.value().fedsv_values,
+                                "resumed FedSV");
+      ExpectVectorsBitIdentical(resumed.value().comfedsv->values,
+                                baseline.value().comfedsv->values,
+                                "resumed ComFedSV");
+      ExpectStatsEqual(resumed.value().fedsv_stats,
+                       baseline.value().fedsv_stats, "resumed FedSV stats");
+      ExpectStatsEqual(resumed.value().comfedsv->stats,
+                       baseline.value().comfedsv->stats,
+                       "resumed ComFedSV stats");
+
+      Result<ValuationOutcome> replayed = RunValuationFromLog(
+          model, w.test, kClients, ckpt.round_log_path, request, {}, &ctx);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      ExpectVectorsBitIdentical(*replayed.value().fedsv_values,
+                                *baseline.value().fedsv_values,
+                                "FedSV replayed from the resumed log");
+      ExpectVectorsBitIdentical(replayed.value().comfedsv->values,
+                                baseline.value().comfedsv->values,
+                                "ComFedSV replayed from the resumed log");
+    }
+  }
+}
+
+// A resume must refuse a checkpoint it cannot continue bit-identically:
+// one written under another round-log encoding (the resumed writer
+// would append frames in a different format), and one from another
+// checkpoint format version. Both are FailedPrecondition, and neither
+// file is quarantined — they are intact state of another run or build.
+TEST_F(RoundLogTest, PipelineResumeRefusesOtherCompressionAndVersion) {
+  constexpr int kClients = 3;
+  GoldenWorkload w = MakeGoldenWorkload(kClients, 6161);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 3;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 29;
+  const ValuationRequest request = GoldenRequest();
+
+  CheckpointConfig ckpt;
+  ckpt.path = Path("ckpt");
+  ckpt.keep_generations = 2;
+  ckpt.round_log_path = Path("spill.log");
+  ckpt.inject_crash_after_round = 2;
+  ASSERT_EQ(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
+                                     request, ckpt)
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  ckpt.inject_crash_after_round = -1;
+
+  CheckpointConfig recoded = ckpt;
+  recoded.round_log_compression = RoundLogCompression::kXorDelta;
+  Result<ValuationOutcome> refused = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, recoded);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status().ToString();
+
+  // Rewrite every generation's header version to 3 (the format before
+  // the engine-state layout). The version is checked before the
+  // checksum, so this is a clean version skew, not corruption.
+  CheckpointManagerOptions inspect_options;
+  inspect_options.keep_generations = 2;
+  CheckpointManager inspect(ckpt.path, inspect_options);
+  const auto generations = inspect.ListGenerations();
+  ASSERT_EQ(generations.size(), 2u);
+  for (const auto& [sequence, file] : generations) {
+    Result<std::string> bytes = FileEnv::Real()->ReadFile(file);
+    ASSERT_TRUE(bytes.ok());
+    std::string old_version = bytes.value();
+    old_version[4] = 3;
+    ASSERT_TRUE(FileEnv::Real()->WriteFile(file, old_version).ok());
+  }
+  Result<ValuationOutcome> skewed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt);
+  EXPECT_EQ(skewed.status().code(), StatusCode::kFailedPrecondition)
+      << skewed.status().ToString();
+  for (const auto& [sequence, file] : generations) {
+    EXPECT_TRUE(fs::exists(file)) << file << " was moved";
+    EXPECT_FALSE(fs::exists(file + ".corrupt")) << file << " quarantined";
+  }
 }
 
 }  // namespace

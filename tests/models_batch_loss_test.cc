@@ -214,24 +214,26 @@ TEST(BatchLossTest, EvaluateBatchMatchesUnbatchedUtility) {
     coalitions.push_back(c);
   }
 
-  int64_t unbatched_calls = 0;
-  RoundUtility unbatched(&model, &test, &rec, &unbatched_calls);
+  UtilityStats unbatched_stats;
+  RoundUtility unbatched(&model, &test, &rec, nullptr, &unbatched_stats);
   for (int threads : {1, 4}) {
     ExecutionContext ctx(threads);
-    int64_t batched_calls = 0;
-    RoundUtility batched(&model, &test, &rec, &batched_calls,
-                         threads == 1 ? nullptr : &ctx);
+    UtilityStats batched_stats;
+    RoundUtility batched(&model, &test, &rec,
+                         threads == 1 ? nullptr : &ctx, &batched_stats);
     batched.EvaluateBatch(coalitions);
     for (const Coalition& c : coalitions) {
       EXPECT_EQ(batched.Utility(c), unbatched.Utility(c)) << "threads="
                                                           << threads;
     }
     // One loss call per distinct coalition, exactly like the single path.
-    EXPECT_EQ(batched_calls, static_cast<int64_t>(coalitions.size()));
+    EXPECT_EQ(batched_stats.loss_calls,
+              static_cast<int64_t>(coalitions.size()));
     EXPECT_EQ(batched.distinct_evaluations(),
               static_cast<int64_t>(coalitions.size()));
   }
-  EXPECT_EQ(unbatched_calls, static_cast<int64_t>(coalitions.size()));
+  EXPECT_EQ(unbatched_stats.loss_calls,
+            static_cast<int64_t>(coalitions.size()));
 }
 
 // Monte-Carlo style submission: the prefixes of random permutations of
@@ -273,8 +275,7 @@ void ExpectEvaluateBatchMatchesAcrossBlocks(const Model& model,
     for (int threads : {1, 4}) {
       ExecutionContext ctx(threads);
       UtilityStats stats;
-      int64_t calls = 0;
-      RoundUtility batched(&model, &test, &rec, &calls, &ctx, &stats);
+      RoundUtility batched(&model, &test, &rec, &ctx, &stats);
       batched.EvaluateBatch(batch);
       for (const Coalition& c : batch) {
         EXPECT_EQ(batched.Utility(c), unbatched.Utility(c))
@@ -285,7 +286,6 @@ void ExpectEvaluateBatchMatchesAcrossBlocks(const Model& model,
           (distinct + 15) / 16, 1,
           static_cast<int64_t>(internal::kCoalitionBlock));
       const int64_t blocks = (distinct + block - 1) / block;
-      EXPECT_EQ(calls, distinct);
       EXPECT_EQ(stats.loss_calls, distinct);
       EXPECT_EQ(stats.distinct_coalitions, distinct);
       EXPECT_EQ(stats.batched_calls, blocks);
@@ -347,8 +347,7 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   Coalition c = Coalition::FromMembers(n, {0, 1, 2});
 
   UtilityStats stats;
-  int64_t calls = 0;
-  RoundUtility utility(&model, &test, &rec, &calls, nullptr, &stats);
+  RoundUtility utility(&model, &test, &rec, nullptr, &stats);
   utility.Utility(a);  // pre-cache one entry before the batch
   EXPECT_EQ(stats.loss_calls, 1);
   EXPECT_EQ(stats.memo_hits, 0);
@@ -360,7 +359,6 @@ TEST(BatchLossTest, EvaluateBatchStatsAccountEverySubmissionOnce) {
   EXPECT_EQ(stats.distinct_coalitions, 3);
   EXPECT_EQ(stats.memo_hits, 2);            // cached a + duplicate b
   EXPECT_EQ(stats.batched_calls, 2);        // b and c: blocks of one
-  EXPECT_EQ(calls, 3);
 
   // Resubmitting the whole batch resolves every non-empty entry as a
   // hit: the submission count and the counter total stay in lockstep.
@@ -397,8 +395,7 @@ TEST(BatchLossTest, EvaluateBatchRacingUtilityKeepsCountsDeterministic) {
   const int kQueryTasks = 3;
   for (int iter = 0; iter < 20; ++iter) {
     UtilityStats stats;
-    int64_t calls = 0;
-    RoundUtility utility(&model, &test, &rec, &calls, nullptr, &stats);
+    RoundUtility utility(&model, &test, &rec, nullptr, &stats);
     ctx.ParallelFor(kQueryTasks + 1, [&](int task) {
       if (task == 0) {
         utility.EvaluateBatch(coalitions);
@@ -409,7 +406,6 @@ TEST(BatchLossTest, EvaluateBatchRacingUtilityKeepsCountsDeterministic) {
     const int64_t submissions = distinct * (kQueryTasks + 1);
     EXPECT_EQ(stats.loss_calls, distinct) << "iter=" << iter;
     EXPECT_EQ(stats.distinct_coalitions, distinct) << "iter=" << iter;
-    EXPECT_EQ(calls, distinct) << "iter=" << iter;
     EXPECT_EQ(stats.loss_calls + stats.memo_hits, submissions)
         << "iter=" << iter;
     EXPECT_EQ(utility.distinct_evaluations(), distinct) << "iter=" << iter;
@@ -429,12 +425,12 @@ TEST(BatchLossTest, EvaluateBatchDedupsResubmissions) {
   batch.push_back(b);
   batch.push_back(a);               // duplicate within the batch
   batch.push_back(Coalition(n));    // empty: skipped, utility 0
-  int64_t calls = 0;
-  RoundUtility utility(&model, &test, &rec, &calls);
+  UtilityStats stats;
+  RoundUtility utility(&model, &test, &rec, nullptr, &stats);
   utility.EvaluateBatch(batch);
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(stats.loss_calls, 2);
   utility.EvaluateBatch(batch);     // fully cached: no new calls
-  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(stats.loss_calls, 2);
   EXPECT_EQ(utility.Utility(Coalition(n)), 0.0);
 }
 
