@@ -22,7 +22,7 @@ int Fig3Main(int argc, char** argv) {
   const int num_clients = 10;
   const int rounds = full ? 100 : 30;
   // Exploration knobs (documented in --help spirit): --lambda=X and
-  // --solver=als|ccd|sgd override the defaults below.
+  // --solver=als|ccd override the defaults below.
   double lambda = 1e-4;
   double mu = 0.1;  // temporal smoothing; see CompletionConfig
   CompletionSolver solver = CompletionSolver::kAls;
@@ -31,10 +31,17 @@ int Fig3Main(int argc, char** argv) {
       lambda = std::atof(argv[i] + 9);
     } else if (std::strncmp(argv[i], "--mu=", 5) == 0) {
       mu = std::atof(argv[i] + 5);
-    } else if (std::strcmp(argv[i], "--solver=ccd") == 0) {
-      solver = CompletionSolver::kCcd;
-    } else if (std::strcmp(argv[i], "--solver=sgd") == 0) {
-      solver = CompletionSolver::kSgd;
+    } else if (std::strncmp(argv[i], "--solver=", 9) == 0) {
+      const char* name = argv[i] + 9;
+      if (std::strcmp(name, "als") == 0) {
+        solver = CompletionSolver::kAls;
+      } else if (std::strcmp(name, "ccd") == 0) {
+        solver = CompletionSolver::kCcd;
+      } else {
+        std::fprintf(stderr, "unknown --solver=%s (expected als|ccd)\n",
+                     name);
+        return 2;
+      }
     }
   }
 

@@ -5,8 +5,8 @@
 //
 //   * write_overhead — per-save wall cost of the PR-5 single-file path
 //     (WriteCheckpointFile straight to one destination) vs the
-//     CheckpointManager in legacy mode (keep_generations=1, same layout)
-//     and in rotated mode (keep_generations=3, rotation + pruning). The
+//     CheckpointManager keeping one generation (keep_generations=1,
+//     rotation) and three (keep_generations=3, rotation + pruning). The
 //     claim: rotation's durability upgrade costs a small constant factor
 //     per save, not a new asymptotic.
 //   * salvage — corrupt the newest of >= 2 retained generations in a
@@ -115,7 +115,7 @@ void WriteOverhead(const Scenario& s, const std::string& dir,
                    BenchJsonWriter* json) {
   const WritePath paths[] = {
       {"pr5_single_file", 0},
-      {"manager_legacy", 1},
+      {"manager_keep1", 1},
       {"manager_rotated", 3},
   };
   double pr5_avg_ms = 0.0;

@@ -45,7 +45,6 @@ void RunStreamingBench(bool full_scale, BenchJsonWriter* json) {
   const SolverCase solvers[] = {
       {"als", CompletionSolver::kAls},
       {"ccd++", CompletionSolver::kCcd},
-      {"sgd", CompletionSolver::kSgd},
   };
 
   for (const SolverCase& sc : solvers) {
@@ -62,11 +61,7 @@ void RunStreamingBench(bool full_scale, BenchJsonWriter* json) {
     request.comfedsv.completion.rank = 3;
     request.comfedsv.completion.lambda = 1e-2;
     request.comfedsv.completion.max_iters = 2000;
-    // SGD's plateau criterion (|Δobj| per epoch under a decaying step)
-    // needs a looser threshold than the alternating solvers' monotone
-    // decrease to fire at all.
-    request.comfedsv.completion.tolerance =
-        sc.solver == CompletionSolver::kSgd ? 1e-6 : 1e-9;
+    request.comfedsv.completion.tolerance = 1e-9;
     request.comfedsv.completion.solver = sc.solver;
     request.comfedsv.completion.seed = 23;
     request.comfedsv.seed = 29;

@@ -17,10 +17,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "core/comfedsv_api.h"
 #include "io/checkpoint_manager.h"
 #include "io/file_env.h"
+
+namespace {
+
+// Removes every `<path>.<seq>` generation, so a rerun of this example
+// starts fresh instead of resuming a previous run's checkpoint.
+void RemoveGenerations(const std::string& path) {
+  for (const auto& [seq, file] :
+       comfedsv::CheckpointManager(path).ListGenerations()) {
+    std::remove(file.c_str());
+  }
+}
+
+}  // namespace
 
 int main() {
   using namespace comfedsv;
@@ -58,7 +72,7 @@ int main() {
   CheckpointConfig checkpoint;
   checkpoint.path = "resume_example.ckpt";
   checkpoint.every_rounds = 1;
-  std::remove(checkpoint.path.c_str());
+  RemoveGenerations(checkpoint.path);
 
   // 1. First attempt "crashes" after round 4. Every completed round was
   //    checkpointed (atomically: write + rename), so the round-4 state
@@ -108,15 +122,16 @@ int main() {
   std::printf("\n%s", table.ToText().c_str());
   std::printf("\nresumed == straight, bit for bit: %s\n",
               identical ? "yes" : "NO (bug!)");
-  std::remove(checkpoint.path.c_str());
+  RemoveGenerations(checkpoint.path);
 
-  // 4. Generation fallback: with keep_generations >= 2 each save lands
-  //    in its own rotated file, so even a checkpoint that goes bad *on
-  //    disk* (bit rot, torn rename) costs one generation of progress,
-  //    not the run.
+  // 4. Generation fallback: with keep_generations >= 2 older generation
+  //    files stay on disk, so even a checkpoint that goes bad *on disk*
+  //    (bit rot, torn rename) costs one generation of progress, not the
+  //    run.
   CheckpointConfig rotated = checkpoint;
   rotated.path = "resume_example_rotated.ckpt";
   rotated.keep_generations = 3;
+  RemoveGenerations(rotated.path);
   CheckpointConfig rotated_crashing = rotated;
   rotated_crashing.inject_crash_after_round = 4;
   Result<ValuationOutcome> crashed2 = RunValuationCheckpointed(
@@ -141,8 +156,11 @@ int main() {
   std::printf("corrupted newest generation %s (%zu generations on disk)\n",
               newest.c_str(), generations.size());
 
+  // The context's logger reports the salvage: one [WARN] line naming
+  // the quarantined count and the generation the run resumed from.
+  ExecutionContext log_ctx(1);
   Result<ValuationOutcome> salvaged = RunValuationCheckpointed(
-      model, clients, test, fed, request, rotated);
+      model, clients, test, fed, request, rotated, &log_ctx);
   if (!salvaged.ok()) {
     std::fprintf(stderr, "salvaged resume failed: %s\n",
                  salvaged.status().ToString().c_str());
@@ -165,9 +183,7 @@ int main() {
   }
   std::printf("salvaged == straight, bit for bit: %s\n",
               salvage_identical ? "yes" : "NO (bug!)");
-  for (const auto& [seq, file] : inspect.ListGenerations()) {
-    std::remove(file.c_str());
-  }
+  RemoveGenerations(rotated.path);
   std::remove((newest + ".corrupt").c_str());
   return salvage_identical ? 0 : 1;
 }

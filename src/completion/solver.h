@@ -4,7 +4,7 @@
 //   minimize_{W, H}  sum_observed (U_{t,S} - w_t^T h_S)^2
 //                    + lambda (||W||_F^2 + ||H||_F^2)
 //
-// Three solvers are provided, all sweeping the compressed-sparse (CSR /
+// Two solvers are provided, both sweeping the compressed-sparse (CSR /
 // CSC) views that ObservationSet::Finalize() builds:
 //   * kAls:  alternating least squares — each factor row has a closed-form
 //            ridge solution; robust default. Row solves accumulate their
@@ -16,16 +16,9 @@
 //            the algorithm inside LIBPMF, the solver the paper used. The
 //            residual is kept in CSR order; row and column refit phases
 //            each parallelize with a barrier in between.
-//   * kSgd:  stochastic gradient over observed entries — cheapest per
-//            pass, used for very large sampled problems. Epochs follow a
-//            DSGD-style stratified grid schedule: the fixed B x B cell
-//            grid is swept one diagonal stratum at a time, cells of a
-//            stratum touch disjoint row and column factors (safe to run
-//            concurrently), and each cell's entries are visited in a
-//            fixed sub-stream shuffle — so updates are identical for any
-//            thread count.
-// The ablation bench (bench/ablation_completion_solver) compares their
-// fits; bench/completion_solvers records their throughput.
+// Both need lambda > 0 so every row solve is well posed. The ablation
+// bench (bench/ablation_completion_solver) compares their fits;
+// bench/completion_solvers records their throughput.
 #ifndef COMFEDSV_COMPLETION_SOLVER_H_
 #define COMFEDSV_COMPLETION_SOLVER_H_
 
@@ -40,7 +33,7 @@
 namespace comfedsv {
 
 /// Which optimizer solves the completion problem.
-enum class CompletionSolver { kAls, kCcd, kSgd };
+enum class CompletionSolver { kAls, kCcd };
 
 /// Human-readable solver name.
 std::string CompletionSolverName(CompletionSolver solver);
@@ -51,15 +44,13 @@ struct CompletionConfig {
   /// eps-rank of the utility matrix by O(log T / eps); Example 3 probes
   /// the sensitivity empirically.
   int rank = 5;
-  /// Regularization weight lambda.
+  /// Regularization weight lambda; must be positive.
   double lambda = 1e-3;
-  /// Maximum alternating sweeps / epochs.
+  /// Maximum alternating sweeps.
   int max_iters = 100;
   /// Stop when the relative decrease of the objective falls below this.
   double tolerance = 1e-8;
   CompletionSolver solver = CompletionSolver::kAls;
-  /// SGD-only: step size.
-  double sgd_learning_rate = 0.02;
   /// Standard deviation of the random factor initialization; 0 = auto
   /// (a small fraction of the data scale, which empirically steers ALS
   /// to good basins — see the init-scale ablation bench).
@@ -123,8 +114,6 @@ struct CompletionResult {
 ///     (red-black), each color reading only the other color's rows.
 ///   * CCD++ runs its residual updates and per-row / per-column rank-1
 ///     refits in parallel phases separated by barriers.
-///   * SGD processes one stratum of its fixed grid schedule at a time;
-///     concurrent cells touch disjoint factor rows.
 Result<CompletionResult> CompleteMatrix(const ObservationSet& observations,
                                         const CompletionConfig& config,
                                         ExecutionContext* ctx = nullptr);

@@ -38,7 +38,6 @@ void MixCompletion(uint64_t* hash, const CompletionConfig& completion) {
   FingerprintMix(hash, static_cast<uint64_t>(completion.max_iters));
   FingerprintMix(hash, completion.tolerance);
   FingerprintMix(hash, static_cast<uint64_t>(completion.solver));
-  FingerprintMix(hash, completion.sgd_learning_rate);
   FingerprintMix(hash, completion.init_scale);
   FingerprintMix(hash, completion.temporal_smoothing);
   FingerprintMix(hash, completion.seed);

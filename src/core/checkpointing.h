@@ -39,10 +39,9 @@ struct ValuationRequest;  // core/pipeline.h
 
 /// Where and how often RunValuationCheckpointed persists its state.
 struct CheckpointConfig {
-  /// Checkpoint file (or, with keep_generations >= 2, the stem of the
-  /// rotated generation files `path.<seq>`). Each save is atomic (write
-  /// to a `.tmp`, fsync, rename), so a crash never corrupts the last
-  /// good checkpoint.
+  /// Stem of the checkpoint generation files `path.<seq>`. Each save is
+  /// atomic (write to a `.tmp`, fsync, rename), so a crash never
+  /// corrupts the last good checkpoint.
   std::string path;
   /// Save after every k-th completed round (and always after the last).
   int every_rounds = 1;
@@ -60,8 +59,8 @@ struct CheckpointConfig {
   // io/checkpoint_manager.h for the rotation / retry / salvage
   // contract).
 
-  /// 1 (default) = the legacy single file at exactly `path`;
-  /// >= 2 = rotated generations with salvage fallback on resume.
+  /// Generations to retain; >= 2 leaves an older one for salvage
+  /// fallback on resume when the newest is corrupt.
   int keep_generations = 1;
   /// Retries per transient (Unavailable) I/O failure.
   int max_retries = 2;
@@ -89,9 +88,8 @@ struct CheckpointConfig {
   /// Round-log data file; `<path>.idx` holds the footer index. Empty =
   /// spill off.
   std::string round_log_path;
-  /// On-disk encoding; kNone and kXorDelta replay bit-identically,
-  /// kQuant16 trades bounded valuation drift for space (see
-  /// BENCH_roundlog.json).
+  /// On-disk encoding; kNone replays bit-identically, kQuant16 trades
+  /// bounded valuation drift for space (see BENCH_roundlog.json).
   RoundLogCompression round_log_compression = RoundLogCompression::kNone;
   /// Persist the footer index every k-th append.
   int round_log_index_every = 1;

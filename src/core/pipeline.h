@@ -104,7 +104,7 @@ Result<ValuationOutcome> RunValuationCheckpointed(
 /// training: every record is served from disk — one frame resident at a
 /// time, plus the reader's mmap window — and fed through a streaming
 /// engine whose Finalize() is the batch-equivalent read. On a log
-/// written with lossless encoding (kNone, kXorDelta) the outputs are
+/// written with the lossless kNone encoding the outputs are
 /// bit-identical to the RunValuation that produced the trajectory, for
 /// any thread count; kQuant16 drifts by the quantization step
 /// (bench/roundlog.cc measures it). The log must be complete: a spill

@@ -392,6 +392,14 @@ Status StreamingValuationEngine::RestoreCheckpoint(
                          : ChunkTag::kStreamingEngineState,
       restore);
   if (!loaded.ok()) return loaded.status();
+  if (loaded.value().quarantined > 0 && ctx_ != nullptr) {
+    ctx_->Log(LogLevel::kWarning,
+              "checkpoint salvage: quarantined " +
+                  std::to_string(loaded.value().quarantined) +
+                  " corrupt generation(s), resumed from " +
+                  loaded.value().file + " (sequence " +
+                  std::to_string(loaded.value().sequence) + ")");
+  }
   health_.degraded = false;
   health_.consecutive_failures = 0;
   health_.rounds_since_durable = 0;

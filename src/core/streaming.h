@@ -32,7 +32,8 @@
 //   * Every degraded operation (failed spill append/sync, failed save,
 //     stale snapshot) is counted in health() and logged as one
 //     LogLevel::kWarning line through the engine's ExecutionContext
-//     (silent without one).
+//     (silent without one); so is a restore that had to quarantine
+//     corrupt generations.
 #ifndef COMFEDSV_CORE_STREAMING_H_
 #define COMFEDSV_CORE_STREAMING_H_
 
@@ -192,7 +193,9 @@ class StreamingValuationEngine : public RoundObserver {
   /// restores the trainer too; a fingerprint mismatch is
   /// FailedPrecondition. NotFound means nothing to restore (engine and
   /// trainer untouched); on other errors discard both as for
-  /// RestoreState.
+  /// RestoreState. A restore that quarantined corrupt generations logs
+  /// one warning naming their count and the file and sequence it
+  /// resumed from.
   Status RestoreCheckpoint(CheckpointManager* manager,
                            FedAvgTrainer* trainer = nullptr);
 

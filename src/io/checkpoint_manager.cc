@@ -17,7 +17,7 @@ namespace {
 constexpr int kSequenceDigits = 8;
 
 /// Parses the `<digits>` of a `<base>.<digits>` generation file name.
-/// Returns false for anything else (the bare file, `.tmp`, `.corrupt`).
+/// Returns false for anything else (`.tmp`, `.corrupt`, other streams).
 bool ParseGenerationSuffix(const std::string& name, const std::string& base,
                            uint64_t* sequence) {
   if (name.size() <= base.size() + 1 || name.compare(0, base.size(), base) ||
@@ -79,16 +79,6 @@ std::string CheckpointManager::GenerationPath(uint64_t sequence) const {
 
 std::vector<std::pair<uint64_t, std::string>>
 CheckpointManager::ListGenerations() const {
-  if (!rotated()) {
-    std::vector<std::pair<uint64_t, std::string>> generations;
-    if (env_->Exists(path_)) generations.emplace_back(0, path_);
-    return generations;
-  }
-  return ListRotatedGenerations();
-}
-
-std::vector<std::pair<uint64_t, std::string>>
-CheckpointManager::ListRotatedGenerations() const {
   std::vector<std::pair<uint64_t, std::string>> generations;
   const std::string dir = DirOf(path_);
   const std::string base = BaseOf(path_);
@@ -104,39 +94,11 @@ CheckpointManager::ListRotatedGenerations() const {
   return generations;
 }
 
-uint64_t CheckpointManager::PeekSequence(const std::string& file) const {
-  // Header layout (serialize.cc): magic u32, version u32, root tag u32,
-  // payload length u64, sequence u64, checksum u64 — 36 bytes.
-  Result<std::string> bytes = env_->ReadFile(file);
-  if (!bytes.ok()) return 0;
-  const std::string& b = bytes.value();
-  if (b.size() < 36) return 0;
-  auto u32 = [&b](size_t at) {
-    uint32_t v = 0;
-    for (int k = 3; k >= 0; --k) {
-      v = (v << 8) | static_cast<uint8_t>(b[at + static_cast<size_t>(k)]);
-    }
-    return v;
-  };
-  if (u32(0) != kCheckpointMagic || u32(4) != kCheckpointVersion) return 0;
-  uint64_t seq = 0;
-  for (int k = 7; k >= 0; --k) {
-    seq = (seq << 8) | static_cast<uint8_t>(b[20 + static_cast<size_t>(k)]);
-  }
-  return seq;
-}
-
 void CheckpointManager::InitSequenceFromDisk() {
   if (sequence_initialized_) return;
   sequence_initialized_ = true;
-  // Rotated generations count toward the sequence even in legacy mode:
-  // after keep_generations is lowered to 1, the bare-file writes must
-  // outrank the leftover generations, not collide with them.
-  for (const auto& [seq, file] : ListRotatedGenerations()) {
+  for (const auto& [seq, file] : ListGenerations()) {
     next_sequence_ = std::max(next_sequence_, seq + 1);
-  }
-  if (!rotated() && env_->Exists(path_)) {
-    next_sequence_ = std::max(next_sequence_, PeekSequence(path_) + 1);
   }
 }
 
@@ -149,7 +111,7 @@ void CheckpointManager::Backoff(int attempt) {
 Status CheckpointManager::Write(ChunkTag root_tag, std::string_view payload) {
   InitSequenceFromDisk();
   const uint64_t sequence = next_sequence_;
-  const std::string target = rotated() ? GenerationPath(sequence) : path_;
+  const std::string target = GenerationPath(sequence);
   Status st;
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
@@ -166,12 +128,8 @@ Status CheckpointManager::Write(ChunkTag root_tag, std::string_view payload) {
 }
 
 Status CheckpointManager::Prune() {
-  auto generations = ListRotatedGenerations();  // oldest first
-  // In legacy mode the bare file at path_ is the one retained copy, so
-  // every rotated generation left behind by a previous higher-keep run
-  // rotates away once a bare write has gone durable.
-  const size_t keep =
-      rotated() ? static_cast<size_t>(options_.keep_generations) : 0;
+  auto generations = ListGenerations();  // oldest first
+  const size_t keep = static_cast<size_t>(options_.keep_generations);
   if (generations.size() <= keep) return Status::Ok();
   Status first_error;
   for (size_t i = 0; i + keep < generations.size(); ++i) {
@@ -197,19 +155,9 @@ Status CheckpointManager::Quarantine(const std::string& file) {
 Result<CheckpointManager::LoadInfo> CheckpointManager::Load(
     ChunkTag root_tag, const Restorer& restore) {
   InitSequenceFromDisk();
-  // Candidates: every rotated generation on disk (even in legacy mode,
-  // so lowering keep_generations between runs never hides resumable
-  // state) plus the bare file, ordered by its recorded sequence — a
-  // bare file written after the knob was lowered outranks the stale
-  // generations it superseded, while a pre-rotation legacy file sorts
-  // oldest.
-  auto generations = ListRotatedGenerations();
-  if (env_->Exists(path_)) {
-    const uint64_t bare_seq =
-        generations.empty() ? 0 : PeekSequence(path_);
-    generations.emplace_back(bare_seq, path_);
-    std::sort(generations.begin(), generations.end());
-  }
+  // Candidates: every generation on disk, whatever keep_generations is
+  // now, so lowering it between runs never hides resumable state.
+  const auto generations = ListGenerations();
   if (generations.empty()) {
     return Status::NotFound("no checkpoint at " + path_);
   }
@@ -277,11 +225,11 @@ Result<int> CheckpointManager::SweepOrphans() {
         name.compare(name.size() - kTmp.size(), kTmp.size(), kTmp) != 0) {
       continue;
     }
-    // `<base>.tmp` (legacy) or `<base>.<seq>.tmp` (rotated) only — a
-    // sweep must never eat another stream's temp files.
+    // `<base>.<seq>.tmp` only — a sweep must never eat another stream's
+    // temp files.
     const std::string stem = name.substr(0, name.size() - kTmp.size());
     uint64_t seq = 0;
-    if (stem != base && !ParseGenerationSuffix(stem, base, &seq)) continue;
+    if (!ParseGenerationSuffix(stem, base, &seq)) continue;
     COMFEDSV_RETURN_IF_ERROR(env_->Remove(dir + "/" + name));
     ++swept;
   }

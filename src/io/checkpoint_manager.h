@@ -1,13 +1,12 @@
 // CheckpointManager: durable, self-healing checkpoint storage.
 //
-// The PR-5 checkpoint path kept exactly one file and aborted the run on
-// any I/O failure. The manager upgrades that contract:
-//
-//   * Rotated generations — with keep_generations >= 2, each Write()
-//     lands in its own file `path.<seq>` (zero-padded, monotonic
-//     sequence also recorded in the file header) and the oldest files
-//     beyond the retention window are pruned. keep_generations == 1
-//     preserves the legacy single-file-at-`path` layout byte-for-byte.
+//   * Rotated generations — each Write() lands in its own file
+//     `path.<seq>` (zero-padded, monotonic sequence also recorded in the
+//     file header) and the oldest files beyond the keep_generations
+//     retention window are pruned. A new generation is durable before
+//     the old one is removed, so even keep_generations == 1 never has a
+//     moment with no checkpoint on disk. Nothing is ever written at the
+//     bare `path`.
 //   * Transient-error retry — writes and reads that fail Unavailable
 //     (EIO, ENOSPC, interrupted) are retried up to max_retries times
 //     with deterministic exponential backoff through an injectable
@@ -42,9 +41,8 @@ namespace comfedsv {
 class FileEnv;
 
 struct CheckpointManagerOptions {
-  /// How many checkpoint generations to retain. 1 (default) keeps the
-  /// legacy layout: a single file at exactly `path`. >= 2 enables
-  /// rotation: files named `path.<8-digit seq>`, oldest pruned.
+  /// How many checkpoint generations (`path.<8-digit seq>` files) to
+  /// retain; the oldest beyond it are pruned after each write.
   int keep_generations = 1;
   /// Extra attempts after a transient (Unavailable) failure, per
   /// operation. 0 disables retry.
@@ -94,18 +92,18 @@ class CheckpointManager {
   /// every one was corrupt.
   Result<LoadInfo> Load(ChunkTag root_tag, const Restorer& restore = {});
 
-  /// Removes orphaned `.tmp` files belonging to this checkpoint family
-  /// (a crash mid-write leaves at most one). Returns how many were
+  /// Removes orphaned `path.<seq>.tmp` files belonging to this
+  /// checkpoint family (a crash mid-write leaves at most one). Returns how many were
   /// swept. Call at startup, before Load.
   Result<int> SweepOrphans();
 
-  /// Existing generation files, oldest first (sequence, full path).
-  /// Legacy mode reports the bare path with its header unread
-  /// (sequence 0).
+  /// Existing `path.<seq>` generation files, oldest first (sequence,
+  /// full path) — listed regardless of the current keep_generations, so
+  /// state written by a previous higher-keep run stays visible after the
+  /// knob is lowered.
   std::vector<std::pair<uint64_t, std::string>> ListGenerations() const;
 
   const std::string& path() const { return path_; }
-  bool rotated() const { return options_.keep_generations >= 2; }
   uint64_t next_sequence() const { return next_sequence_; }
 
   /// Lifetime counters, for health reporting and the recovery bench.
@@ -117,15 +115,6 @@ class CheckpointManager {
 
  private:
   std::string GenerationPath(uint64_t sequence) const;
-  /// Rotated `path.<seq>` files on disk, oldest first — scanned
-  /// regardless of the current keep_generations, so state written by a
-  /// previous higher-keep run stays visible after the knob is lowered.
-  std::vector<std::pair<uint64_t, std::string>> ListRotatedGenerations()
-      const;
-  /// The sequence number recorded in `file`'s header, or 0 when the
-  /// file is unreadable or not a valid checkpoint (the main Load loop
-  /// then classifies the failure properly).
-  uint64_t PeekSequence(const std::string& file) const;
   /// Scans existing generations so the next Write continues the
   /// sequence instead of restarting at 1. Idempotent.
   void InitSequenceFromDisk();

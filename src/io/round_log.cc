@@ -1,7 +1,6 @@
 #include "io/round_log.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -16,11 +15,11 @@ constexpr uint64_t kFrameHeaderSize = 16;
 /// Trailing FNV-1a over the frame header + payload.
 constexpr uint64_t kFrameTrailerSize = 8;
 
-/// RLE opcodes for the kXorDelta byte stream.
-constexpr uint8_t kOpZeroRun = 0x00;
-constexpr uint8_t kOpLiteral = 0x01;
-/// Zero runs at least this long pay for their 5-byte opcode.
-constexpr size_t kMinZeroRun = 8;
+/// On-disk encoding value 1 named the retired lossless XOR-delta
+/// encoding. A file that uses it is intact, so it is refused as a
+/// precondition failure (never salvaged as corrupt), and the value is
+/// never reused.
+constexpr uint32_t kRetiredXorDelta = 1;
 
 void PutU32(std::string* out, uint32_t v) {
   for (int k = 0; k < 4; ++k) {
@@ -50,18 +49,6 @@ uint64_t GetU64(std::string_view bytes, size_t at) {
   return v;
 }
 
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double BitsDouble(uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 std::string RoundLogHeaderBytes(RoundLogCompression compression) {
   std::string header;
   PutU32(&header, kRoundLogMagic);
@@ -70,6 +57,19 @@ std::string RoundLogHeaderBytes(RoundLogCompression compression) {
   PutU32(&header, 0);  // reserved
   PutU64(&header, Fnv1a64(header));
   return header;
+}
+
+Status CheckEncoding(uint32_t value, const std::string& where) {
+  if (value == kRetiredXorDelta) {
+    return Status::FailedPrecondition(
+        where + " uses the retired xor-delta encoding (1)");
+  }
+  if (value != static_cast<uint32_t>(RoundLogCompression::kNone) &&
+      value != static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
+    return Status::DataLoss(where + " has unknown encoding " +
+                            std::to_string(value));
+  }
+  return Status::Ok();
 }
 
 Status ParseRoundLogHeader(std::string_view bytes,
@@ -87,9 +87,7 @@ Status ParseRoundLogHeader(std::string_view bytes,
     return Status::DataLoss("round log header checksum mismatch");
   }
   const uint32_t mode = GetU32(bytes, 8);
-  if (mode > static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
-    return Status::DataLoss("round log has unknown compression mode");
-  }
+  COMFEDSV_RETURN_IF_ERROR(CheckEncoding(mode, "round log header"));
   *compression = static_cast<RoundLogCompression>(mode);
   return Status::Ok();
 }
@@ -123,8 +121,8 @@ Status LoadIntList(BinaryReader* in, std::vector<int>* list) {
   return Status::Ok();
 }
 
-/// Shared prelude of the two delta encodings: everything in the record
-/// except the local models, with global_before stored exact.
+/// Prelude of the kQuant16 encoding: everything in the record except
+/// the local models, with global_before stored exact.
 void SavePrelude(const RoundRecord& record, BinaryWriter* out) {
   out->I32(record.round);
   out->F64(record.test_loss_before);
@@ -143,131 +141,6 @@ Status LoadPrelude(BinaryReader* in, RoundRecord* out, uint64_t* num_models) {
   COMFEDSV_RETURN_IF_ERROR(LoadIntList(in, &out->rejected));
   COMFEDSV_RETURN_IF_ERROR(LoadIntList(in, &out->dropped));
   return in->Count(1, num_models);
-}
-
-/// Zero-run-length encodes `bytes`: 0x00 + u32 run for zero runs of at
-/// least kMinZeroRun, 0x01 + u32 len + raw bytes otherwise.
-std::string RleEncode(std::string_view bytes) {
-  std::string out;
-  size_t literal_start = 0;
-  size_t i = 0;
-  auto flush_literal = [&](size_t end) {
-    size_t at = literal_start;
-    while (at < end) {
-      const size_t len = std::min<size_t>(end - at, 0xFFFFFFFFu);
-      out.push_back(static_cast<char>(kOpLiteral));
-      PutU32(&out, static_cast<uint32_t>(len));
-      out.append(bytes.substr(at, len));
-      at += len;
-    }
-  };
-  while (i < bytes.size()) {
-    if (bytes[i] == '\0') {
-      size_t run = 1;
-      while (i + run < bytes.size() && bytes[i + run] == '\0') ++run;
-      if (run >= kMinZeroRun) {
-        flush_literal(i);
-        size_t left = run;
-        while (left > 0) {
-          const size_t n = std::min<size_t>(left, 0xFFFFFFFFu);
-          out.push_back(static_cast<char>(kOpZeroRun));
-          PutU32(&out, static_cast<uint32_t>(n));
-          left -= n;
-        }
-        literal_start = i + run;
-      }
-      i += run;
-    } else {
-      ++i;
-    }
-  }
-  flush_literal(bytes.size());
-  return out;
-}
-
-Status RleDecode(BinaryReader* in, size_t expected_size, std::string* out) {
-  uint64_t rle_len = 0;
-  COMFEDSV_RETURN_IF_ERROR(in->Count(1, &rle_len));
-  out->clear();
-  out->reserve(expected_size);
-  uint64_t consumed = 0;
-  while (consumed < rle_len) {
-    uint8_t op = 0;
-    uint32_t n = 0;
-    COMFEDSV_RETURN_IF_ERROR(in->U8(&op));
-    COMFEDSV_RETURN_IF_ERROR(in->U32(&n));
-    consumed += 5;
-    if (op == kOpZeroRun) {
-      if (out->size() + n > expected_size) {
-        return Status::DataLoss("round log RLE stream overruns its vector");
-      }
-      out->append(n, '\0');
-    } else if (op == kOpLiteral) {
-      if (out->size() + n > expected_size || consumed + n > rle_len) {
-        return Status::DataLoss("round log RLE stream overruns its vector");
-      }
-      for (uint32_t k = 0; k < n; ++k) {
-        uint8_t b = 0;
-        COMFEDSV_RETURN_IF_ERROR(in->U8(&b));
-        out->push_back(static_cast<char>(b));
-      }
-      consumed += n;
-    } else {
-      return Status::DataLoss("round log RLE stream has an unknown opcode");
-    }
-  }
-  if (consumed != rle_len || out->size() != expected_size) {
-    return Status::DataLoss("round log RLE stream length mismatch");
-  }
-  return Status::Ok();
-}
-
-std::string EncodeXorDelta(const RoundRecord& record) {
-  BinaryWriter out;
-  SavePrelude(record, &out);
-  const Vector& global = record.global_before;
-  for (const Vector& local : record.local_models) {
-    out.U64(local.size());
-    std::string xored;
-    xored.reserve(local.size() * 8);
-    for (size_t j = 0; j < local.size(); ++j) {
-      const uint64_t g = j < global.size() ? DoubleBits(global[j]) : 0;
-      PutU64(&xored, DoubleBits(local[j]) ^ g);
-    }
-    // Most clients do not move most coordinates much per round, but the
-    // payoff here comes from sanitized/unselected updates that equal the
-    // global exactly: their XOR stream is all zeros.
-    const std::string rle = RleEncode(xored);
-    out.U64(rle.size());
-    for (char c : rle) out.U8(static_cast<uint8_t>(c));
-  }
-  return out.buffer();
-}
-
-Status DecodeXorDelta(std::string_view payload, RoundRecord* out) {
-  BinaryReader in(payload);
-  uint64_t num_models = 0;
-  COMFEDSV_RETURN_IF_ERROR(LoadPrelude(&in, out, &num_models));
-  out->local_models.assign(static_cast<size_t>(num_models), Vector());
-  const Vector& global = out->global_before;
-  for (uint64_t m = 0; m < num_models; ++m) {
-    uint64_t dim = 0;
-    COMFEDSV_RETURN_IF_ERROR(in.Count(8, &dim));
-    std::string xored;
-    COMFEDSV_RETURN_IF_ERROR(
-        RleDecode(&in, static_cast<size_t>(dim) * 8, &xored));
-    Vector& local = out->local_models[static_cast<size_t>(m)];
-    local.Resize(static_cast<size_t>(dim));
-    for (uint64_t j = 0; j < dim; ++j) {
-      const uint64_t g = j < global.size() ? DoubleBits(global[j]) : 0;
-      local[static_cast<size_t>(j)] =
-          BitsDouble(GetU64(xored, static_cast<size_t>(j) * 8) ^ g);
-    }
-  }
-  if (in.remaining() != 0) {
-    return Status::DataLoss("round log payload has trailing bytes");
-  }
-  return Status::Ok();
 }
 
 std::string EncodeQuant16(const RoundRecord& record) {
@@ -343,8 +216,6 @@ std::string EncodeRoundRecordPayload(const RoundRecord& record,
       SaveRoundRecord(record, &out);
       return out.buffer();
     }
-    case RoundLogCompression::kXorDelta:
-      return EncodeXorDelta(record);
     case RoundLogCompression::kQuant16:
       return EncodeQuant16(record);
   }
@@ -365,8 +236,6 @@ Status DecodeRoundRecordPayload(std::string_view payload,
       }
       return Status::Ok();
     }
-    case RoundLogCompression::kXorDelta:
-      return DecodeXorDelta(payload, out);
     case RoundLogCompression::kQuant16:
       return DecodeQuant16(payload, out);
   }
@@ -679,9 +548,7 @@ Status RoundLogReader::Read(int pos, RoundRecord* out) {
     return Status::DataLoss("round log frame checksum mismatch");
   }
   const uint32_t enc = GetU32(bytes, 4);
-  if (enc > static_cast<uint32_t>(RoundLogCompression::kQuant16)) {
-    return Status::DataLoss("round log frame has unknown encoding");
-  }
+  COMFEDSV_RETURN_IF_ERROR(CheckEncoding(enc, "round log frame"));
   return DecodeRoundRecordPayload(
       bytes.substr(kFrameHeaderSize, payload_len),
       static_cast<RoundLogCompression>(enc), out);

@@ -22,12 +22,11 @@
 //     byte-identical to an uninterrupted run's.
 //
 // Optional compression (per log, recorded in the data header):
-//   * kXorDelta — lossless: local models stored as XOR of their f64 bit
-//     patterns against global_before, zero-run-length encoded. Decoding
-//     is bit-exact, so valuation from the log is bit-identical.
 //   * kQuant16 — lossy: local-model deltas uniformly quantized to u16 on
 //     a per-vector [min,max] grid. Valuation drift is bounded by the
 //     grid step; bench/roundlog.cc measures ratio-vs-drift.
+// Encoding value 1 belonged to a retired lossless XOR-delta encoding; a
+// header or frame naming it is refused with FailedPrecondition.
 //
 // File layout (all little-endian):
 //   data file:  header (24 B): u32 magic "CFRL", u32 version, u32
@@ -58,13 +57,10 @@ inline constexpr uint32_t kRoundLogVersion = 1;
 inline constexpr uint64_t kRoundLogHeaderSize = 24;
 
 /// How record payloads are encoded on disk. Stable on disk — append,
-/// never renumber.
+/// never renumber. Value 1 is reserved (the retired XOR-delta encoding).
 enum class RoundLogCompression : uint32_t {
   /// The plain SaveRoundRecord chunk bytes. Lossless.
   kNone = 0,
-  /// Local models XOR'd against global_before bit patterns, zero runs
-  /// run-length encoded. Lossless (bit-exact round trip).
-  kXorDelta = 1,
   /// Local-model deltas quantized to u16 on a per-vector [min,max]
   /// grid. Lossy; everything else in the record stays exact.
   kQuant16 = 2,
@@ -106,7 +102,8 @@ class RoundLogWriter {
   /// already ends at the boundary, so the io/truncate failpoint is
   /// exercised on every resume. DataLoss when fewer than `keep_rounds`
   /// intact frames exist, FailedPrecondition when the header's
-  /// compression disagrees with `options`.
+  /// compression disagrees with `options` or names the retired
+  /// encoding 1.
   static Result<std::unique_ptr<RoundLogWriter>> OpenForAppend(
       const std::string& path, int keep_rounds, RoundLogOptions options = {});
 
@@ -208,8 +205,8 @@ class RoundLogReader {
 /// Exposed for tests and the bench; Append/Read use it internally.
 std::string EncodeRoundRecordPayload(const RoundRecord& record,
                                      RoundLogCompression compression);
-/// Decodes an EncodeRoundRecordPayload buffer. For kNone and kXorDelta
-/// the result is bit-identical to the encoded record.
+/// Decodes an EncodeRoundRecordPayload buffer. For kNone the result is
+/// bit-identical to the encoded record.
 Status DecodeRoundRecordPayload(std::string_view payload,
                                 RoundLogCompression compression,
                                 RoundRecord* out);

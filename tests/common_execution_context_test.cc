@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace comfedsv {
@@ -106,13 +107,28 @@ TEST(ExecutionContextTest, InlineParallelForPropagatesExceptions) {
 
 TEST(ExecutionContextTest, ExceptionAbandonsRemainingWorkQuickly) {
   // After a task throws, the region should not run all remaining indices.
+  // The ordering is made deterministic. Index 0 waits until the other
+  // worker holds an index (so both shards are off the queue), then queues
+  // a marker task and throws; every other index waits for the marker.
+  // The marker needs a free worker, and the only one that can free up is
+  // the thrower, once it has recorded the failure and left its shard — so
+  // the other worker cannot race through the range while the thrower
+  // unwinds.
   ExecutionContext ctx(2);
   std::atomic<int> executed{0};
+  std::atomic<bool> other_started{false};
+  std::atomic<bool> failure_recorded{false};
   const int n = 100000;
   try {
     ctx.ParallelFor(n, [&](int i) {
       executed.fetch_add(1);
-      if (i == 0) throw std::runtime_error("stop");
+      if (i == 0) {
+        while (!other_started.load()) std::this_thread::yield();
+        ctx.pool().Submit([&] { failure_recorded.store(true); });
+        throw std::runtime_error("stop");
+      }
+      other_started.store(true);
+      while (!failure_recorded.load()) std::this_thread::yield();
     });
     FAIL() << "expected exception";
   } catch (const std::runtime_error&) {

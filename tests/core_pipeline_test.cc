@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
+#include "core/checkpointing.h"
 #include "data/image_sim.h"
 #include "data/noise.h"
 #include "data/partition.h"
@@ -154,6 +158,82 @@ TEST(PipelineTest, NoisyClientRanksLowInGroundTruth) {
   std::vector<int> bottom = BottomKIndices(values, 2);
   EXPECT_TRUE(bottom[0] == 2 || bottom[1] == 2)
       << "noisy client not in bottom 2";
+}
+
+// A resume under a changed config is refused, field by field. Every
+// CompletionConfig field that shapes the solve feeds RequestFingerprint,
+// so a checkpoint saved under the old value fails with
+// FailedPrecondition. verify_fused_objective is excluded by design: it
+// only cross-checks the objective and never changes a value. A changed
+// round-log encoding is refused through the engine fingerprint.
+TEST(PipelineTest, ResumeRefusesEveryChangedCompletionFieldAndEncoding) {
+  struct Case {
+    const char* field;
+    void (*perturb)(CompletionConfig*);
+  };
+  const Case cases[] = {
+      {"rank", [](CompletionConfig* c) { c->rank += 1; }},
+      {"lambda", [](CompletionConfig* c) { c->lambda *= 2.0; }},
+      {"max_iters", [](CompletionConfig* c) { c->max_iters += 1; }},
+      {"tolerance", [](CompletionConfig* c) { c->tolerance *= 10.0; }},
+      {"solver",
+       [](CompletionConfig* c) { c->solver = CompletionSolver::kCcd; }},
+      {"init_scale", [](CompletionConfig* c) { c->init_scale = 0.5; }},
+      {"temporal_smoothing",
+       [](CompletionConfig* c) { c->temporal_smoothing = 0.1; }},
+      {"seed", [](CompletionConfig* c) { c->seed += 1; }},
+  };
+
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "core_pipeline_resume_refusal";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  Workload w = MakeWorkload(3, 101);
+  LogisticRegression model(w.test.dim(), 10);
+  const FedAvgConfig fed = FedConfig(3, 2, 103);
+  ValuationRequest request = DefaultRequest();
+  request.compute_ground_truth = false;
+  request.comfedsv.completion.max_iters = 20;
+  CheckpointConfig ckpt;
+  ckpt.path = (dir / "run.ckpt").string();
+  ckpt.round_log_path = (dir / "run.log").string();
+  ckpt.inject_crash_after_round = 2;
+  ASSERT_EQ(RunValuationCheckpointed(model, w.clients, w.test, fed, request,
+                                     ckpt)
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  ckpt.inject_crash_after_round = -1;
+
+  const uint64_t base = RequestFingerprint(request);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    ValuationRequest changed = request;
+    c.perturb(&changed.comfedsv.completion);
+    EXPECT_NE(RequestFingerprint(changed), base);
+    EXPECT_EQ(RunValuationCheckpointed(model, w.clients, w.test, fed,
+                                       changed, ckpt)
+                  .status()
+                  .code(),
+              StatusCode::kFailedPrecondition);
+  }
+  CheckpointConfig recoded = ckpt;
+  recoded.round_log_compression = RoundLogCompression::kQuant16;
+  EXPECT_EQ(RunValuationCheckpointed(model, w.clients, w.test, fed, request,
+                                     recoded)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  ValuationRequest verified = request;
+  verified.comfedsv.completion.verify_fused_objective = true;
+  EXPECT_EQ(RequestFingerprint(verified), base);
+  Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed, verified, ckpt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed.value().checkpoint_health->resumed_sequence, 2u);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -18,11 +18,21 @@
 #include "core/streaming.h"
 #include "data/image_sim.h"
 #include "data/partition.h"
+#include "io/checkpoint_manager.h"
+#include "io/file_env.h"
 #include "models/logistic.h"
 #include "models/mlp.h"
 
 namespace comfedsv {
 namespace {
+
+// Removes every `<path>.<seq>` checkpoint generation. A stale one left
+// behind would be resumed by the next run under the same path.
+void RemoveCheckpointFamily(const std::string& path) {
+  for (const auto& [seq, file] : CheckpointManager(path).ListGenerations()) {
+    std::remove(file.c_str());
+  }
+}
 
 struct Workload {
   std::vector<Dataset> clients;
@@ -267,8 +277,7 @@ TEST(DeterminismTest, SmoothedAlsCompletionIsThreadCountInvariant) {
 
 TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
   // Every completion solver (ALS, ALS + temporal smoothing with its
-  // red-black W-side, CCD++'s phased residual refits, SGD's stratified
-  // grid schedule) must produce bit-identical factors inline, on a
+  // red-black W-side, CCD++'s phased residual refits) must produce bit-identical factors inline, on a
   // single-threaded context, and on a 4-thread context. The observation
   // set is large enough that the parallel sweeps span several fixed
   // blocks.
@@ -299,7 +308,6 @@ TEST(DeterminismTest, CompletionSolversAreThreadCountInvariant) {
       {"als", CompletionSolver::kAls, 0.0},
       {"als+mu", CompletionSolver::kAls, 0.1},
       {"ccd++", CompletionSolver::kCcd, 0.0},
-      {"sgd", CompletionSolver::kSgd, 0.0},
   };
   for (const Variant& v : variants) {
     CompletionConfig cfg;
@@ -424,7 +432,7 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
                                "comfedsv_resume_t" +
                                std::to_string(threads) + "_r" +
                                std::to_string(crash_round) + ".ckpt";
-      std::remove(path.c_str());
+      RemoveCheckpointFamily(path);
 
       CheckpointConfig ckpt;
       ckpt.path = path;
@@ -434,6 +442,12 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
       Result<ValuationOutcome> crashed = RunValuationCheckpointed(
           model, w.clients, w.test, fed_cfg, request, ckpt, &crash_ctx);
       ASSERT_FALSE(crashed.ok());  // the injected crash
+      // The default keep_generations = 1 rotates too: exactly one
+      // `path.<seq>` generation (the crash round's) and no bare file.
+      const auto generations = CheckpointManager(path).ListGenerations();
+      ASSERT_EQ(generations.size(), 1u);
+      EXPECT_EQ(generations[0].first, static_cast<uint64_t>(crash_round));
+      EXPECT_FALSE(FileEnv::Real()->Exists(path));
 
       CheckpointConfig resume = ckpt;
       resume.inject_crash_after_round = -1;
@@ -449,7 +463,7 @@ TEST(DeterminismTest, ResumeFromCheckpointIsBitIdentical) {
                          "resumed final params");
       EXPECT_EQ(resumed.value().training.test_loss_history,
                 straight.training.test_loss_history);
-      std::remove(path.c_str());
+      RemoveCheckpointFamily(path);
     }
   }
 }
@@ -481,7 +495,7 @@ TEST(DeterminismTest, CheckpointedRunWithoutCrashMatchesPlainRun) {
 
   const std::string path =
       ::testing::TempDir() + "comfedsv_nocrash.ckpt";
-  std::remove(path.c_str());
+  RemoveCheckpointFamily(path);
   CheckpointConfig ckpt;
   ckpt.path = path;
   ckpt.every_rounds = 2;
@@ -497,7 +511,7 @@ TEST(DeterminismTest, CheckpointedRunWithoutCrashMatchesPlainRun) {
       model, w.clients, w.test, fed_cfg, request, ckpt, nullptr);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectOutcomesBitIdentical(resumed.value(), plain, "resumed-complete");
-  std::remove(path.c_str());
+  RemoveCheckpointFamily(path);
 }
 
 TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
@@ -522,7 +536,7 @@ TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
 
   const std::string path =
       ::testing::TempDir() + "comfedsv_fingerprint.ckpt";
-  std::remove(path.c_str());
+  RemoveCheckpointFamily(path);
   CheckpointConfig ckpt;
   ckpt.path = path;
   ckpt.inject_crash_after_round = 1;
@@ -550,7 +564,7 @@ TEST(DeterminismTest, ResumeUnderDifferentDataOrModelIsRejected) {
   Result<ValuationOutcome> ok_resume = RunValuationCheckpointed(
       model, w.clients, w.test, fed_cfg, request, ckpt);
   EXPECT_TRUE(ok_resume.ok()) << ok_resume.status().ToString();
-  std::remove(path.c_str());
+  RemoveCheckpointFamily(path);
 }
 
 TEST(DeterminismTest, StreamingEngineMatchesBatchRunOnFullPrefix) {
@@ -1020,7 +1034,7 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
                                "comfedsv_adv_resume_t" +
                                std::to_string(threads) + "_r" +
                                std::to_string(crash_round) + ".ckpt";
-      std::remove(path.c_str());
+      RemoveCheckpointFamily(path);
 
       CheckpointConfig ckpt;
       ckpt.path = path;
@@ -1050,7 +1064,7 @@ TEST(DeterminismTest, AdversarialResumeFromCheckpointIsBitIdentical) {
                 straight.training.quarantine.quarantine_drops);
       EXPECT_EQ(resumed.value().training.quarantine.rounds_degraded,
                 straight.training.quarantine.rounds_degraded);
-      std::remove(path.c_str());
+      RemoveCheckpointFamily(path);
     }
   }
 }

@@ -147,12 +147,13 @@ TEST_F(IoRecoveryTest, LoadEdgeCasesMapToDistinctCodes) {
   // A directory holding only `.tmp` debris: the sweep clears it and the
   // load correctly reports "no checkpoint" rather than corruption.
   const std::string stem = dir + "/stream.ckpt";
-  ASSERT_TRUE(FileEnv::Real()->WriteFile(stem + ".tmp", "debris").ok());
+  const std::string debris = stem + ".00000001.tmp";
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(debris, "debris").ok());
   CheckpointManager manager(stem, FastOptions(FileEnv::Real()));
   Result<int> swept = manager.SweepOrphans();
   ASSERT_TRUE(swept.ok());
   EXPECT_EQ(swept.value(), 1);
-  EXPECT_FALSE(FileEnv::Real()->Exists(stem + ".tmp"));
+  EXPECT_FALSE(FileEnv::Real()->Exists(debris));
   EXPECT_EQ(manager.Load(ChunkTag::kVector).status().code(),
             StatusCode::kNotFound);
 }
@@ -161,7 +162,6 @@ TEST_F(IoRecoveryTest, SweepRemovesOnlyThisFamilysTempFiles) {
   const std::string dir = Dir("sweep");
   const std::string stem = dir + "/run.ckpt";
   FileEnv* real = FileEnv::Real();
-  ASSERT_TRUE(real->WriteFile(stem + ".tmp", "a").ok());
   ASSERT_TRUE(real->WriteFile(stem + ".00000007.tmp", "b").ok());
   ASSERT_TRUE(real->WriteFile(dir + "/other.ckpt.tmp", "c").ok());
   ASSERT_TRUE(real->WriteFile(stem + ".notaseq.tmp", "d").ok());
@@ -169,7 +169,8 @@ TEST_F(IoRecoveryTest, SweepRemovesOnlyThisFamilysTempFiles) {
   CheckpointManager manager(stem, FastOptions(real));
   Result<int> swept = manager.SweepOrphans();
   ASSERT_TRUE(swept.ok());
-  EXPECT_EQ(swept.value(), 2);
+  EXPECT_EQ(swept.value(), 1);
+  EXPECT_FALSE(real->Exists(stem + ".00000007.tmp"));
   EXPECT_TRUE(real->Exists(dir + "/other.ckpt.tmp"));
   EXPECT_TRUE(real->Exists(stem + ".notaseq.tmp"));
 }
@@ -205,29 +206,6 @@ TEST_F(IoRecoveryTest, RotationKeepsNewestGenerations) {
   EXPECT_EQ(reopened.ListGenerations().back().first, 6u);
 }
 
-TEST_F(IoRecoveryTest, LegacyFileMigratesIntoRotation) {
-  const std::string stem = Dir("migrate") + "/v.ckpt";
-  {
-    CheckpointManager legacy(stem, FastOptions(FileEnv::Real(), 1));
-    ASSERT_TRUE(legacy.Write(ChunkTag::kVector, "old").ok());
-    ASSERT_TRUE(FileEnv::Real()->Exists(stem));
-  }
-  CheckpointManager rotated(stem, FastOptions(FileEnv::Real(), 2));
-  Result<CheckpointManager::LoadInfo> loaded =
-      rotated.Load(ChunkTag::kVector);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value().payload, "old");
-
-  // The next write lands in a rotated generation that outranks the bare
-  // legacy file.
-  ASSERT_TRUE(rotated.Write(ChunkTag::kVector, "new").ok());
-  Result<CheckpointManager::LoadInfo> newest =
-      rotated.Load(ChunkTag::kVector);
-  ASSERT_TRUE(newest.ok());
-  EXPECT_EQ(newest.value().payload, "new");
-  EXPECT_NE(newest.value().file, stem);
-}
-
 TEST_F(IoRecoveryTest, LoweredKeepGenerationsStillResumesRotatedState) {
   const std::string stem = Dir("lowered") + "/v.ckpt";
   {
@@ -237,30 +215,34 @@ TEST_F(IoRecoveryTest, LoweredKeepGenerationsStillResumesRotatedState) {
     ASSERT_TRUE(manager.Write(ChunkTag::kVector, "gen3").ok());
   }
 
-  // A later run lowers keep_generations to 1 (the legacy single-file
-  // layout). The rotated generations on disk must still be resumable —
-  // never a silent fresh start.
-  CheckpointManager legacy(stem, FastOptions(FileEnv::Real(), 1));
-  Result<CheckpointManager::LoadInfo> loaded = legacy.Load(ChunkTag::kVector);
+  // A later run lowers keep_generations to 1. The generations on disk
+  // must still be resumable — never a silent fresh start.
+  CheckpointManager lowered(stem, FastOptions(FileEnv::Real(), 1));
+  Result<CheckpointManager::LoadInfo> loaded =
+      lowered.Load(ChunkTag::kVector);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().payload, "gen3");
   EXPECT_EQ(loaded.value().sequence, 3u);
 
-  // The next write continues the sequence into the bare file and
-  // rotates the stale generations away — except the one the load just
-  // restored from, which pruning must never delete.
-  ASSERT_TRUE(legacy.Write(ChunkTag::kVector, "gen4").ok());
-  ASSERT_TRUE(FileEnv::Real()->Exists(stem));
-  EXPECT_TRUE(FileEnv::Real()->Exists(loaded.value().file));
+  // The next writes continue the sequence and prune the keep-1 window
+  // down to the newest generation — except the one the load restored
+  // from, which pruning must never delete.
+  ASSERT_TRUE(lowered.Write(ChunkTag::kVector, "gen4").ok());
+  ASSERT_TRUE(lowered.Write(ChunkTag::kVector, "gen5").ok());
+  auto generations = lowered.ListGenerations();
+  ASSERT_EQ(generations.size(), 2u);
+  EXPECT_EQ(generations.front().second, loaded.value().file);
+  EXPECT_EQ(generations.back().first, 5u);
+  EXPECT_FALSE(FileEnv::Real()->Exists(stem));  // never a bare file
 
-  // Raising the knob back up resumes from the newest state — the bare
-  // file at sequence 4 — not a stale leftover generation.
+  // Raising the knob back up resumes from the newest state, not the
+  // retained older generation.
   CheckpointManager raised(stem, FastOptions(FileEnv::Real(), 3));
   Result<CheckpointManager::LoadInfo> newest = raised.Load(ChunkTag::kVector);
   ASSERT_TRUE(newest.ok()) << newest.status().ToString();
-  EXPECT_EQ(newest.value().payload, "gen4");
-  EXPECT_EQ(newest.value().sequence, 4u);
-  EXPECT_EQ(newest.value().file, stem);
+  EXPECT_EQ(newest.value().payload, "gen5");
+  EXPECT_EQ(newest.value().sequence, 5u);
+  EXPECT_EQ(newest.value().file, generations.back().second);
 }
 
 TEST_F(IoRecoveryTest, PruneNeverDeletesTheSalvagedGeneration) {
@@ -594,6 +576,55 @@ TEST_F(IoRecoveryTest, DegradedOperationsLogOneWarningEach) {
     } else {
       EXPECT_EQ(append_log, "");
       EXPECT_EQ(save_log, "");
+    }
+  }
+}
+
+// A restore that salvaged past a corrupt generation says so: one
+// warning naming the quarantined count and the generation it resumed
+// from. Silent without a context.
+TEST_F(IoRecoveryTest, SalvagedRestoreLogsOneWarning) {
+  StreamScenario s;
+  for (bool with_ctx : {true, false}) {
+    SCOPED_TRACE(with_ctx ? "with context" : "without context");
+    const std::string stem =
+        Dir(with_ctx ? "salvage_ctx" : "salvage_no_ctx") + "/stream.ckpt";
+    CheckpointManager writer(stem, FastOptions(FileEnv::Real(), 3));
+    s.Run(s.NewEngine().get(), &writer, nullptr, 0);
+    auto generations = writer.ListGenerations();
+    ASSERT_EQ(generations.size(), 3u);
+    Result<std::string> bytes =
+        FileEnv::Real()->ReadFile(generations.back().second);
+    ASSERT_TRUE(bytes.ok());
+    std::string corrupted = bytes.value();
+    corrupted[corrupted.size() / 2] ^= 0x40;
+    ASSERT_TRUE(
+        FileEnv::Real()->WriteFile(generations.back().second, corrupted).ok());
+
+    ExecutionContext ctx(1, 0, LogLevel::kInfo);
+    StreamingValuationEngine engine(&s.model, &s.w.test,
+                                    StreamScenario::kClients, s.streaming,
+                                    with_ctx ? &ctx : nullptr);
+    CheckpointManager reader(stem, FastOptions(FileEnv::Real(), 3));
+    ::testing::internal::CaptureStderr();
+    const Status restored = engine.RestoreCheckpoint(&reader);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(restored.ok()) << restored.ToString();
+    EXPECT_EQ(engine.rounds_consumed(), 2);
+
+    if (with_ctx) {
+      const std::string& resumed_file = generations[1].second;
+      EXPECT_EQ(log.rfind("[WARN] ", 0), 0u) << log;
+      EXPECT_NE(log.find("quarantined 1 corrupt"), std::string::npos)
+          << log;
+      EXPECT_NE(log.find(resumed_file), std::string::npos) << log;
+      EXPECT_NE(log.find("sequence " +
+                         std::to_string(generations[1].first)),
+                std::string::npos)
+          << log;
+      EXPECT_EQ(std::count(log.begin(), log.end(), '\n'), 1) << log;
+    } else {
+      EXPECT_EQ(log, "");
     }
   }
 }

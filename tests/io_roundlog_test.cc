@@ -1,5 +1,5 @@
-// Round-log suite: payload encodings (lossless XOR-delta, lossy u16
-// quantization), writer/reader round trips, footer-index recovery, torn
+// Round-log suite: payload encodings (plain, lossy u16 quantization,
+// the retired encoding 1), writer/reader round trips, footer-index recovery, torn
 // tails, resume truncation — and the golden equality gate: valuation
 // replayed from a spilled log (mmap and pread, compressed and not) must
 // match the in-memory pipeline bit-for-bit on lossless encodings, for
@@ -52,8 +52,7 @@ class RoundLogTest : public ::testing::Test {
 };
 
 /// A deterministic record with `quiet` of the clients left exactly at
-/// the global model (a sanitized / unselected update) — the shape the
-/// XOR-delta encoding exists for.
+/// the global model (a sanitized / unselected update).
 RoundRecord MakeRecord(int round, int num_clients, size_t dim, int quiet) {
   RoundRecord r;
   r.round = round;
@@ -75,6 +74,29 @@ RoundRecord MakeRecord(int round, int num_clients, size_t dim, int quiet) {
   if (num_clients > quiet + 1) r.rejected.push_back(quiet + 1);
   if (quiet > 0) r.dropped.push_back(0);
   return r;
+}
+
+uint64_t GetU64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (int k = 7; k >= 0; --k) {
+    v = (v << 8) | static_cast<uint8_t>(bytes[at + static_cast<size_t>(k)]);
+  }
+  return v;
+}
+
+void PutU64At(std::string* bytes, size_t at, uint64_t v) {
+  for (int k = 0; k < 8; ++k) {
+    (*bytes)[at + static_cast<size_t>(k)] =
+        static_cast<char>((v >> (8 * k)) & 0xFF);
+  }
+}
+
+/// `log` with its header's encoding field (bytes 8..11) set to
+/// `encoding` and the header checksum recomputed — an intact header.
+std::string WithHeaderEncoding(std::string log, uint8_t encoding) {
+  log[8] = static_cast<char>(encoding);
+  PutU64At(&log, 16, Fnv1a64(std::string_view(log).substr(0, 16)));
+  return log;
 }
 
 void ExpectRecordBitIdentical(const RoundRecord& a, const RoundRecord& b) {
@@ -102,24 +124,15 @@ void ExpectRecordBitIdentical(const RoundRecord& a, const RoundRecord& b) {
 // Payload encodings.
 // ---------------------------------------------------------------------
 
-TEST_F(RoundLogTest, LosslessEncodingsRoundTripBitExact) {
+TEST_F(RoundLogTest, PlainEncodingRoundTripsBitExact) {
   const RoundRecord record = MakeRecord(3, 6, 64, /*quiet=*/4);
-  for (RoundLogCompression mode :
-       {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    const std::string payload = EncodeRoundRecordPayload(record, mode);
-    RoundRecord decoded;
-    ASSERT_TRUE(DecodeRoundRecordPayload(payload, mode, &decoded).ok());
-    ExpectRecordBitIdentical(record, decoded);
-  }
-  // With most clients quiet, the XOR streams are almost all zeros and
-  // the run-length encoding must actually compress.
-  const size_t plain =
-      EncodeRoundRecordPayload(record, RoundLogCompression::kNone).size();
-  const size_t xored =
-      EncodeRoundRecordPayload(record, RoundLogCompression::kXorDelta)
-          .size();
-  EXPECT_LT(xored, plain / 2) << "plain=" << plain << " xor=" << xored;
+  const std::string payload =
+      EncodeRoundRecordPayload(record, RoundLogCompression::kNone);
+  RoundRecord decoded;
+  ASSERT_TRUE(DecodeRoundRecordPayload(payload, RoundLogCompression::kNone,
+                                       &decoded)
+                  .ok());
+  ExpectRecordBitIdentical(record, decoded);
 }
 
 TEST_F(RoundLogTest, Quant16RoundTripsWithinOneGridStep) {
@@ -166,29 +179,24 @@ TEST_F(RoundLogTest, Quant16RoundTripsWithinOneGridStep) {
 // ---------------------------------------------------------------------
 
 TEST_F(RoundLogTest, WriterReaderRoundTripAcrossIndexCadences) {
-  for (RoundLogCompression mode :
-       {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-    const std::string path =
-        Path("log_" + std::to_string(static_cast<int>(mode)));
-    RoundLogOptions options;
-    options.compression = mode;
-    options.index_every = 3;  // leaves an unindexed tail to scan
-    auto writer = RoundLogWriter::Create(path, options);
-    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-    for (int t = 0; t < 7; ++t) {
-      ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 4, 32, 2)).ok());
-    }
-    EXPECT_EQ(writer.value()->rounds(), 7);
+  const std::string path = Path("log");
+  RoundLogOptions options;
+  options.index_every = 3;  // leaves an unindexed tail to scan
+  auto writer = RoundLogWriter::Create(path, options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (int t = 0; t < 7; ++t) {
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 4, 32, 2)).ok());
+  }
+  EXPECT_EQ(writer.value()->rounds(), 7);
 
-    auto reader = RoundLogReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ(reader.value()->compression(), mode);
-    ASSERT_EQ(reader.value()->rounds(), 7);
-    for (int t = 0; t < 7; ++t) {
-      RoundRecord decoded;
-      ASSERT_TRUE(reader.value()->Read(t, &decoded).ok());
-      ExpectRecordBitIdentical(MakeRecord(t, 4, 32, 2), decoded);
-    }
+  auto reader = RoundLogReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader.value()->compression(), RoundLogCompression::kNone);
+  ASSERT_EQ(reader.value()->rounds(), 7);
+  for (int t = 0; t < 7; ++t) {
+    RoundRecord decoded;
+    ASSERT_TRUE(reader.value()->Read(t, &decoded).ok());
+    ExpectRecordBitIdentical(MakeRecord(t, 4, 32, 2), decoded);
   }
 }
 
@@ -253,6 +261,46 @@ TEST_F(RoundLogTest, CorruptIndexedFrameFailsTheReadNotTheOpen) {
   EXPECT_TRUE(reader.value()->Read(0, &decoded).ok());
 }
 
+// Encoding value 1 named the retired XOR-delta encoding. A header or
+// frame that names it under a valid checksum is an intact file from an
+// older build: FailedPrecondition, never DataLoss (which would salvage
+// it as corrupt).
+TEST_F(RoundLogTest, RetiredEncodingOneIsRefusedNotSalvaged) {
+  const std::string path = Path("log");
+  auto writer = RoundLogWriter::Create(path, {});
+  ASSERT_TRUE(writer.ok());
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(writer.value()->Append(MakeRecord(t, 3, 16, 1)).ok());
+  }
+  auto original = FileEnv::Real()->ReadFile(path);
+  ASSERT_TRUE(original.ok());
+
+  const std::string header_one = WithHeaderEncoding(original.value(), 1);
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(path, header_one).ok());
+  EXPECT_EQ(RoundLogReader::Open(path).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(RoundLogWriter::OpenForAppend(path, 2, {}).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // Frame: the second frame's encoding field = 1, checksum recomputed.
+  std::string frame_one = original.value();
+  const size_t first = static_cast<size_t>(kRoundLogHeaderSize);
+  const size_t second = first + 16 + GetU64At(frame_one, first + 8) + 8;
+  const size_t payload_len = GetU64At(frame_one, second + 8);
+  frame_one[second + 4] = 1;
+  PutU64At(&frame_one, second + 16 + payload_len,
+           Fnv1a64(std::string_view(frame_one).substr(second,
+                                                      16 + payload_len)));
+  ASSERT_TRUE(FileEnv::Real()->WriteFile(path, frame_one).ok());
+  auto reader = RoundLogReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(reader.value()->rounds(), 2);
+  RoundRecord decoded;
+  EXPECT_TRUE(reader.value()->Read(0, &decoded).ok());
+  EXPECT_EQ(reader.value()->Read(1, &decoded).code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST_F(RoundLogTest, OpenForAppendReplaysToAByteIdenticalLog) {
   // Log A: five rounds, uninterrupted. Log B: five rounds, then a
   // "resume" from round 3 — truncate and re-append rounds 3 and 4.
@@ -283,7 +331,7 @@ TEST_F(RoundLogTest, OpenForAppendReplaysToAByteIdenticalLog) {
             StatusCode::kDataLoss);
   // And a compression-mode mismatch is a config error, not corruption.
   RoundLogOptions other;
-  other.compression = RoundLogCompression::kXorDelta;
+  other.compression = RoundLogCompression::kQuant16;
   EXPECT_EQ(RoundLogWriter::OpenForAppend(b, 3, other).status().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -422,53 +470,47 @@ TEST_F(RoundLogTest, SpilledValuationMatchesInMemoryAcrossModesAndThreads) {
     const Vector base_fedsv = *baseline.value().fedsv_values;
     const Vector base_comfedsv = baseline.value().comfedsv->values;
 
-    for (RoundLogCompression mode :
-         {RoundLogCompression::kNone, RoundLogCompression::kXorDelta}) {
-      SCOPED_TRACE("compression=" + std::to_string(static_cast<int>(mode)));
-      const std::string tag = std::to_string(threads) + "_" +
-                              std::to_string(static_cast<int>(mode));
-      CheckpointConfig ckpt;
-      ckpt.path = Path("ckpt_" + tag);
-      ckpt.keep_generations = 2;
-      ckpt.round_log_path = Path("spill_" + tag + ".log");
-      ckpt.round_log_compression = mode;
-      Result<ValuationOutcome> spilled = RunValuationCheckpointed(
-          model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
-      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-      ASSERT_TRUE(spilled.value().checkpoint_health.has_value());
-      EXPECT_EQ(spilled.value().checkpoint_health->round_log_failures, 0);
-      EXPECT_EQ(spilled.value().checkpoint_health->round_log_rounds,
-                fed_cfg.num_rounds);
-      // The spill run itself is untouched by the logging.
-      ExpectVectorsBitIdentical(*spilled.value().fedsv_values, base_fedsv,
-                                "FedSV of the spilling run");
+    const std::string tag = std::to_string(threads);
+    CheckpointConfig ckpt;
+    ckpt.path = Path("ckpt_" + tag);
+    ckpt.keep_generations = 2;
+    ckpt.round_log_path = Path("spill_" + tag + ".log");
+    Result<ValuationOutcome> spilled = RunValuationCheckpointed(
+        model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    ASSERT_TRUE(spilled.value().checkpoint_health.has_value());
+    EXPECT_EQ(spilled.value().checkpoint_health->round_log_failures, 0);
+    EXPECT_EQ(spilled.value().checkpoint_health->round_log_rounds,
+              fed_cfg.num_rounds);
+    // The spill run itself is untouched by the logging.
+    ExpectVectorsBitIdentical(*spilled.value().fedsv_values, base_fedsv,
+                              "FedSV of the spilling run");
 
-      for (bool use_mmap : {true, false}) {
-        SCOPED_TRACE(use_mmap ? "mmap" : "pread");
-        RoundLogReadOptions read_options;
-        read_options.use_mmap = use_mmap;
-        read_options.window_bytes = 4096;  // force the window to slide
-        Result<ValuationOutcome> replayed = RunValuationFromLog(
-            model, w.test, kClients, ckpt.round_log_path, request,
-            read_options, &ctx);
-        ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-        EXPECT_EQ(replayed.value().training.rounds_run,
-                  fed_cfg.num_rounds);
-        // Lossless log replay is the same trajectory: bit-identical
-        // FedSV, and the ComFedSV solve sees bit-identical inputs (so
-        // well inside the issue's 1e-9 envelope — it is exact).
-        ExpectVectorsBitIdentical(*replayed.value().fedsv_values,
-                                  base_fedsv, "FedSV from log");
-        ASSERT_EQ(replayed.value().comfedsv->values.size(),
-                  base_comfedsv.size());
-        for (size_t i = 0; i < base_comfedsv.size(); ++i) {
-          EXPECT_NEAR(replayed.value().comfedsv->values[i],
-                      base_comfedsv[i], 1e-9)
-              << "ComFedSV client " << i;
-          EXPECT_EQ(replayed.value().comfedsv->values[i],
-                    base_comfedsv[i])
-              << "lossless replay should be exact, client " << i;
-        }
+    for (bool use_mmap : {true, false}) {
+      SCOPED_TRACE(use_mmap ? "mmap" : "pread");
+      RoundLogReadOptions read_options;
+      read_options.use_mmap = use_mmap;
+      read_options.window_bytes = 4096;  // force the window to slide
+      Result<ValuationOutcome> replayed = RunValuationFromLog(
+          model, w.test, kClients, ckpt.round_log_path, request,
+          read_options, &ctx);
+      ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+      EXPECT_EQ(replayed.value().training.rounds_run,
+                fed_cfg.num_rounds);
+      // Lossless log replay is the same trajectory: bit-identical
+      // FedSV, and the ComFedSV solve sees bit-identical inputs (so
+      // well inside the 1e-9 ComFedSV tolerance — it is exact).
+      ExpectVectorsBitIdentical(*replayed.value().fedsv_values,
+                                base_fedsv, "FedSV from log");
+      ASSERT_EQ(replayed.value().comfedsv->values.size(),
+                base_comfedsv.size());
+      for (size_t i = 0; i < base_comfedsv.size(); ++i) {
+        EXPECT_NEAR(replayed.value().comfedsv->values[i],
+                    base_comfedsv[i], 1e-9)
+            << "ComFedSV client " << i;
+        EXPECT_EQ(replayed.value().comfedsv->values[i],
+                  base_comfedsv[i])
+            << "lossless replay should be exact, client " << i;
       }
     }
 
@@ -701,11 +743,34 @@ TEST_F(RoundLogTest, PipelineResumeRefusesOtherCompressionAndVersion) {
   ckpt.inject_crash_after_round = -1;
 
   CheckpointConfig recoded = ckpt;
-  recoded.round_log_compression = RoundLogCompression::kXorDelta;
+  recoded.round_log_compression = RoundLogCompression::kQuant16;
   Result<ValuationOutcome> refused = RunValuationCheckpointed(
       model, w.clients, w.test, fed_cfg, request, recoded);
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
       << refused.status().ToString();
+
+  // A spill log whose header names the retired encoding 1 (checksum
+  // intact) stops a durable resume at the re-open; the checkpoint that
+  // points at it is not quarantined.
+  {
+    Result<std::string> log = FileEnv::Real()->ReadFile(ckpt.round_log_path);
+    ASSERT_TRUE(log.ok());
+    ASSERT_TRUE(FileEnv::Real()
+                    ->WriteFile(ckpt.round_log_path,
+                                WithHeaderEncoding(log.value(), 1))
+                    .ok());
+    CheckpointConfig durable = ckpt;
+    durable.require_durable = true;
+    Result<ValuationOutcome> stopped = RunValuationCheckpointed(
+        model, w.clients, w.test, fed_cfg, request, durable);
+    EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition)
+        << stopped.status().ToString();
+    for (const auto& entry : fs::directory_iterator(root_)) {
+      EXPECT_NE(entry.path().extension(), ".corrupt") << entry.path();
+    }
+    ASSERT_TRUE(
+        FileEnv::Real()->WriteFile(ckpt.round_log_path, log.value()).ok());
+  }
 
   // Rewrite every generation's header version to 3 (the format before
   // the engine-state layout). The version is checked before the
