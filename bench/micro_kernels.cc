@@ -428,30 +428,42 @@ bool AppendBatchLossRecords(bench::BenchJsonWriter* json) {
     const char* kernel;
     const char* model;
     int dim;
+    int samples;
     int batch;
   };
-  // d >= 64 throughout; the large-d rows are where the GEMM dominates
-  // the (identical-by-contract) softmax tail.
+  // Logistic and MLP: d >= 64 throughout; the large-d rows are where the
+  // GEMM dominates the (identical-by-contract) softmax tail. CNN: the
+  // CIFAR shape of perfbench's durable-cnn (8x8x3 images, 6 filters, 40
+  // test samples), at the block sizes EvaluateBatch hands it.
   const Config configs[] = {
-      {"batch_loss_logistic_d64_b64", "logistic", 64, 64},
-      {"batch_loss_logistic_d256_b64", "logistic", 256, 64},
-      {"batch_loss_logistic_d1024_b64", "logistic", 1024, 64},
-      {"batch_loss_logistic_d256_b8", "logistic", 256, 8},
-      {"batch_loss_mlp_d192_b64", "mlp", 192, 64},
+      {"batch_loss_logistic_d64_b64", "logistic", 64, 256, 64},
+      {"batch_loss_logistic_d256_b64", "logistic", 256, 256, 64},
+      {"batch_loss_logistic_d1024_b64", "logistic", 1024, 256, 64},
+      {"batch_loss_logistic_d256_b8", "logistic", 256, 256, 8},
+      {"batch_loss_mlp_d192_b64", "mlp", 192, 256, 64},
+      {"batch_loss_cnn_8x8x3_f6_b4", "cnn", 192, 40, 4},
+      {"batch_loss_cnn_8x8x3_f6_b8", "cnn", 192, 40, 8},
   };
-  const int samples = 256;
   const int classes = 10;
   bool all_identical = true;
   for (const Config& cfg : configs) {
-    Dataset data = RandomData(samples, cfg.dim, classes, 51);
+    Dataset data = RandomData(cfg.samples, cfg.dim, classes, 51);
     std::unique_ptr<Model> model;
     if (std::string(cfg.model) == "logistic") {
       model = std::make_unique<LogisticRegression>(cfg.dim, classes, 1e-3);
-    } else {
+    } else if (std::string(cfg.model) == "mlp") {
       model = std::make_unique<Mlp>(
           std::vector<size_t>{static_cast<size_t>(cfg.dim), 32,
                               static_cast<size_t>(classes)},
           1e-4);
+    } else {
+      CnnConfig cnn;
+      cnn.image_side = 8;
+      cnn.channels = 3;
+      cnn.num_filters = 6;
+      cnn.num_classes = classes;
+      cnn.l2_penalty = 1e-4;
+      model = std::make_unique<Cnn>(cnn);
     }
     BatchLossResult r = TimeBatchLoss(*model, data, cfg.batch, 52);
     json->BeginRecord();
@@ -459,7 +471,7 @@ bool AppendBatchLossRecords(bench::BenchJsonWriter* json) {
     json->Field("model", cfg.model);
     json->Field("dim", static_cast<double>(cfg.dim));
     json->Field("classes", static_cast<double>(classes));
-    json->Field("samples", static_cast<double>(samples));
+    json->Field("samples", static_cast<double>(cfg.samples));
     json->Field("batch", static_cast<double>(cfg.batch));
     json->Field("threads", 1.0);
     json->Field("seconds_scalar_loop", r.seconds_scalar);

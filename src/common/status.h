@@ -84,6 +84,15 @@ class [[nodiscard]] Status {
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// True for errors a retry cannot fix: the request or the stored state
+  /// it meets is wrong (InvalidArgument, FailedPrecondition — e.g. an
+  /// intact file in a retired format), not the environment. Degrading
+  /// callers fail the run on these instead of retrying.
+  bool IsPermanent() const {
+    return code_ == StatusCode::kInvalidArgument ||
+           code_ == StatusCode::kFailedPrecondition;
+  }
+
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 

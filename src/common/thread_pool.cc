@@ -70,23 +70,32 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     std::exception_ptr first_error GUARDED_BY(error_mu);
   };
   auto state = std::make_shared<SharedState>();
-  int shards = std::min<int>(n, num_threads());
-  for (int s = 0; s < shards; ++s) {
-    Submit([state, n, &fn] {
-      for (;;) {
-        if (state->failed.load(std::memory_order_relaxed)) break;
-        int i = state->counter.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        try {
-          fn(i);
-        } catch (...) {
-          MutexLock lock(state->error_mu);
-          if (!state->failed.exchange(true)) {
-            state->first_error = std::current_exception();
-          }
+  auto shard = [state, n, &fn] {
+    for (;;) {
+      if (state->failed.load(std::memory_order_relaxed)) break;
+      int i = state->counter.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) break;
+      try {
+        fn(i);
+      } catch (...) {
+        MutexLock lock(state->error_mu);
+        if (!state->failed.exchange(true)) {
+          state->first_error = std::current_exception();
         }
       }
-    });
+    }
+  };
+  // The caller runs one of the shards itself: it starts at once, where a
+  // worker must first be woken, which short regions feel. While it does,
+  // it counts as one of this pool's workers, so a nested region runs
+  // inline on it exactly as on a worker.
+  int shards = std::min<int>(n, num_threads());
+  for (int s = 1; s < shards; ++s) Submit(shard);
+  {
+    const ThreadPool* saved = current_worker_pool;
+    current_worker_pool = this;
+    shard();
+    current_worker_pool = saved;
   }
   Wait();
   // Wait() is a full barrier, but read the error slot under its lock

@@ -39,7 +39,8 @@ class ThreadPool {
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// Runs `fn(i)` for i in [0, n), distributing across the pool, and waits.
-  /// With an inline pool, or when called from one of this pool's own
+  /// The calling thread takes indices too, alongside at most
+  /// num_threads() - 1 workers. With an inline pool, or when called from one of this pool's own
   /// workers (a nested region), this is a plain loop on the calling
   /// thread. If any invocation throws, remaining indices are abandoned as
   /// soon as possible and the first captured exception is rethrown on the

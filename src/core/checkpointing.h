@@ -70,7 +70,9 @@ struct CheckpointConfig {
   /// cadence save (after retries) aborts the run with that operation's
   /// status. Default: the run degrades — it keeps training on the last
   /// good in-memory state and reports the failures in
-  /// ValuationOutcome::checkpoint_health.
+  /// ValuationOutcome::checkpoint_health. A permanent failure
+  /// (Status::IsPermanent, e.g. resuming over an intact round log in a
+  /// retired encoding) aborts the run either way.
   bool require_durable = false;
   /// File system override for fault injection; nullptr = real.
   FileEnv* env = nullptr;

@@ -89,7 +89,13 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
   while (!trainer.Done()) {
     Status spilled = engine.Consume(trainer.Step());
     if (checkpoint == nullptr) continue;
-    if (!spilled.ok() && checkpoint->require_durable) return spilled;
+    // A permanent error (an intact log or checkpoint this run can never
+    // extend) fails the run even when durability is optional: a retry
+    // would fail the same way every round.
+    if (!spilled.ok() &&
+        (checkpoint->require_durable || spilled.IsPermanent())) {
+      return spilled;
+    }
     const int completed = trainer.next_round();
     if (completed % checkpoint->every_rounds == 0 || trainer.Done()) {
       // Graceful degradation: a failed save costs durability, not
@@ -97,7 +103,10 @@ Result<ValuationOutcome> RunValuationImpl(const Model& model,
       // training and the engine's health reports the gap — unless the
       // caller demanded durability.
       Status saved = engine.SaveCheckpoint(manager.get(), &trainer);
-      if (!saved.ok() && checkpoint->require_durable) return saved;
+      if (!saved.ok() &&
+          (checkpoint->require_durable || saved.IsPermanent())) {
+        return saved;
+      }
     }
     if (checkpoint->inject_crash_after_round >= 0 &&
         completed >= checkpoint->inject_crash_after_round) {

@@ -63,6 +63,7 @@ void StreamingValuationEngine::Degrade(int64_t* counter, const char* what,
 }
 
 Status StreamingValuationEngine::SpillRound(const RoundRecord& record) {
+  if (!spill_error_.ok()) return spill_error_;
   if (spill_writer_ == nullptr) {
     RoundLogOptions options;
     options.compression = config_.spill.compression;
@@ -78,6 +79,7 @@ Status StreamingValuationEngine::SpillRound(const RoundRecord& record) {
                                             rounds_consumed_, options);
     if (!opened.ok()) {
       Degrade(&health_.spill_failures, "round-log open", opened.status());
+      if (opened.status().IsPermanent()) spill_error_ = opened.status();
       return opened.status();
     }
     spill_writer_ = std::move(opened).value();
@@ -143,8 +145,11 @@ Result<ValuationOutcome> StreamingValuationEngine::Snapshot() {
       // Degrade instead of poisoning the stream: the recorders are
       // untouched by a failed solve, so the last good output is still a
       // valid (stale) valuation of an earlier prefix. With nothing to
-      // fall back on the error surfaces as before.
-      if (!last_output_.has_value()) return solved.status();
+      // fall back on, or a permanent error a later solve would repeat,
+      // the error surfaces.
+      if (!last_output_.has_value() || solved.status().IsPermanent()) {
+        return solved.status();
+      }
       Degrade(&health_.stale_snapshots, "snapshot re-solve",
               solved.status());
     } else {

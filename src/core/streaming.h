@@ -147,7 +147,8 @@ class StreamingValuationEngine : public RoundObserver {
 
   /// OnRound that also returns the round's spill status: Ok with spill
   /// off, else the status of the log open/append. A failure is recorded
-  /// in health() either way; callers that demand durability abort on it.
+  /// in health() either way; callers that demand durability abort on it,
+  /// and every caller on a permanent one (Status::IsPermanent).
   Status Consume(const RoundRecord& record);
 
   /// Rounds consumed so far (including empty-selected rounds, which
@@ -166,7 +167,8 @@ class StreamingValuationEngine : public RoundObserver {
   /// output (FedSV / ground truth still current) and health() reports
   /// the failure instead of the call erroring out. The next successful
   /// solve clears the degraded state. A solve failure with no previous
-  /// output to fall back on is still an error.
+  /// output to fall back on, or a permanent one (Status::IsPermanent),
+  /// is still an error.
   Result<ValuationOutcome> Snapshot();
 
   /// Degraded-mode bookkeeping (stale snapshots, spill failures, failed
@@ -250,7 +252,10 @@ class StreamingValuationEngine : public RoundObserver {
   /// Appends `record` to the round log, lazily opening the writer —
   /// Create on a fresh stream, OpenForAppend(rounds_consumed_) when
   /// resuming over an existing log. Failures degrade health instead of
-  /// poisoning the stream; the status is returned for Consume.
+  /// poisoning the stream; the status is returned for Consume. A
+  /// permanent open failure (Status::IsPermanent, e.g. an intact log in
+  /// another or a retired encoding) is kept and returned by every later
+  /// call without a retry or a second warning.
   Status SpillRound(const RoundRecord& record);
 
   const Model* model_;
@@ -276,6 +281,8 @@ class StreamingValuationEngine : public RoundObserver {
   // writer is reset so the next spilled round realigns the log (via
   // OpenForAppend truncation) with the restored position.
   std::unique_ptr<RoundLogWriter> spill_writer_;
+  // The permanent open failure SpillRound keeps returning; Ok if none.
+  Status spill_error_;
   // Log position recorded by the restored checkpoint: the realigned log
   // must land on exactly these bytes. -1 = no pending verification.
   int restored_spill_rounds_ = -1;

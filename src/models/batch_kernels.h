@@ -13,7 +13,12 @@
 // tile's accumulators live in registers across the whole feature loop
 // and each packed cache line is reused by both samples.
 //
-// The tile pass is compiled per ISA (a baseline TU and, on x86-64 with
+// Cnn needs a second primitive: its 3x3 convolution for every (member,
+// filter) column of a block at once. Its filters are packed the same
+// way, tap-major within register-width tiles, so each output pixel is
+// a run of contiguous vector multiply-adds across the columns.
+//
+// The tile passes are compiled per ISA (a baseline TU and, on x86-64 with
 // gcc/clang, an -mavx2 TU with a wider tile) and dispatched once at
 // runtime. No variant enables FMA — fusing a*b+c would change rounding —
 // so every ISA computes the same doubles; only the tile width (a pure
@@ -21,8 +26,9 @@
 //
 // Bit-identity contract (see model.h): every z[s][col] accumulates its
 // terms in ascending feature order and skips exact-zero features, exactly
-// like the scalar per-member loops in logistic.cc / mlp.cc — so tiling,
-// ISA, batch size, and sample pairing never change a single output bit.
+// like the scalar per-member loops in logistic.cc / mlp.cc, and every
+// conv output repeats cnn.cc's per-pixel chain — so tiling, ISA, batch
+// size, and sample pairing never change a single output bit.
 #ifndef COMFEDSV_MODELS_BATCH_KERNELS_H_
 #define COMFEDSV_MODELS_BATCH_KERNELS_H_
 
@@ -80,6 +86,52 @@ PackedAffineBlock PackAffineBlock(const Matrix& param_rows, size_t row_begin,
 /// be null (odd tail), in which case only z0 is written.
 void BatchedAffinePair(const PackedAffineBlock& pack, const double* x0,
                        const double* x1, double* z0, double* z1);
+
+/// One block's packed 3x3 convolution filters (Cnn::BatchLoss). Column
+/// col = member * filters + f is member `member`'s filter f; the columns
+/// are padded with zero filters up to whole tiles, so every tile runs
+/// the vector loop and the padding columns are computed and ignored.
+struct PackedConvBlock {
+  size_t channels = 0;
+  size_t image_side = 0;
+  size_t tile_cols = 0;  ///< tile width the pack was built for
+  size_t num_tiles = 0;  ///< ceil(members * filters / tile_cols)
+  /// tiles[(tile * channels * 9 + k) * tile_cols + t] is tap
+  /// k = (ch * 3 + kernel_row) * 3 + kernel_col of column
+  /// tile * tile_cols + t: the order Cnn::ForwardSample visits them.
+  std::vector<double> tiles;
+  /// bias[col], zero past the last real column.
+  std::vector<double> bias;
+
+  /// Doubles per output pixel in BatchedConv3x3's output.
+  size_t stride() const { return num_tiles * tile_cols; }
+};
+
+/// Packs the conv filters of rows [row_begin, row_begin+row_count) of
+/// `param_rows`: each row holds [filters][channels][3][3] weights at
+/// `weight_offset` and `filters` biases at `bias_offset`. `tile_cols`
+/// must be 0 (auto: the active-ISA width that pads least) or one of
+/// SupportedTileCols().
+PackedConvBlock PackConvBlock(const Matrix& param_rows, size_t row_begin,
+                              size_t row_count, size_t weight_offset,
+                              size_t bias_offset, size_t channels,
+                              size_t filters, size_t image_side,
+                              size_t tile_cols = 0);
+
+/// Valid 3x3 convolution of one channel-major image `x` by every column
+/// of `pack`, before ReLU: z[(r * conv_side + c) * pack.stride() + col]
+/// for conv_side = image_side - 2. Each column starts from its bias and
+/// adds (w0*x0 + w1*x1) + w2*x2 per (channel, kernel row), in
+/// Cnn::ForwardSample's order, so each z is bit-identical to it.
+void BatchedConv3x3(const PackedConvBlock& pack, const double* x, double* z);
+
+/// A member's loss from its per-sample loss total, with the arithmetic
+/// of every model's Loss: total / num_samples (0 with no samples) plus
+/// 0.5 * l2_penalty * the ascending-order dot product of its `num_params`
+/// parameters with themselves. The shared epilogue of the BatchLoss
+/// overrides.
+double MeanLossPlusL2(double total, size_t num_samples, const double* params,
+                      size_t num_params, double l2_penalty);
 
 /// Members per sub-block of a batched loss: the packed weights of 8
 /// members stay L2-resident up to a few thousand parameters per member,

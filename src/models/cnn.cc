@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/fingerprint.h"
+#include "models/batch_kernels.h"
 
 namespace comfedsv {
 namespace {
@@ -34,24 +35,17 @@ Cnn::Cnn(const CnnConfig& config) : config_(config) {
   total_params_ = fc_bias_offset_ + config_.num_classes;
 }
 
-double Cnn::ForwardSample(const Vector& params, const double* x, int label,
+double Cnn::ForwardSample(const double* params, const double* x, int label,
                           ForwardState* state) const {
   const int side = config_.image_side;
   const int cs = conv_side_;
-  const int ps = pool_side_;
   const int filters = config_.num_filters;
   const int channels = config_.channels;
-  const int classes = config_.num_classes;
 
-  const double* conv_w = params.data() + conv_weights_offset_;
-  const double* conv_b = params.data() + conv_bias_offset_;
-  const double* fc_w = params.data() + fc_weights_offset_;
-  const double* fc_b = params.data() + fc_bias_offset_;
+  const double* conv_w = params + conv_weights_offset_;
+  const double* conv_b = params + conv_bias_offset_;
 
   state->conv.assign(static_cast<size_t>(filters) * cs * cs, 0.0);
-  state->pooled.assign(pooled_dim_, 0.0);
-  state->argmax.assign(pooled_dim_, 0);
-  state->probs.assign(classes, 0.0);
 
   // Convolution (valid) + ReLU.
   for (int f = 0; f < filters; ++f) {
@@ -75,6 +69,21 @@ double Cnn::ForwardSample(const Vector& params, const double* x, int label,
       }
     }
   }
+  return ForwardTail(params, label, state);
+}
+
+double Cnn::ForwardTail(const double* params, int label,
+                        ForwardState* state) const {
+  const int cs = conv_side_;
+  const int ps = pool_side_;
+  const int filters = config_.num_filters;
+  const int classes = config_.num_classes;
+  const double* fc_w = params + fc_weights_offset_;
+  const double* fc_b = params + fc_bias_offset_;
+
+  state->pooled.assign(pooled_dim_, 0.0);
+  state->argmax.assign(pooled_dim_, 0);
+  state->probs.assign(classes, 0.0);
 
   // 2x2 max pooling (stride 2; trailing row/col dropped when cs is odd).
   for (int f = 0; f < filters; ++f) {
@@ -85,11 +94,12 @@ double Cnn::ForwardSample(const Vector& params, const double* x, int label,
         double best = conv[best_idx];
         for (int dr = 0; dr < 2; ++dr) {
           for (int dc = 0; dc < 2; ++dc) {
+            // Strict > keeps the first maximum. Written as selects, not
+            // a branch: post-ReLU windows make the branch unpredictable.
             const int idx = (2 * pr + dr) * cs + (2 * pc + dc);
-            if (conv[idx] > best) {
-              best = conv[idx];
-              best_idx = idx;
-            }
+            const bool better = conv[idx] > best;
+            best = better ? conv[idx] : best;
+            best_idx = better ? idx : best_idx;
           }
         }
         const size_t pool_idx =
@@ -135,11 +145,61 @@ double Cnn::Loss(const Vector& params, const Dataset& data) const {
   ForwardState state;
   double total = 0.0;
   for (size_t i = 0; i < data.num_samples(); ++i) {
-    total += ForwardSample(params, data.sample(i), data.label(i), &state);
+    total +=
+        ForwardSample(params.data(), data.sample(i), data.label(i), &state);
   }
   double mean = data.empty() ? 0.0
                              : total / static_cast<double>(data.num_samples());
   return mean + 0.5 * config_.l2_penalty * params.Dot(params);
+}
+
+void Cnn::BatchLoss(const Matrix& param_rows, const Dataset& data,
+                    std::vector<double>* out, ExecutionContext* ctx) const {
+  COMFEDSV_CHECK(out != nullptr);
+  COMFEDSV_CHECK_EQ(param_rows.cols(), num_params());
+  COMFEDSV_CHECK_EQ(data.dim(), input_dim());
+  const size_t batch = param_rows.rows();
+  out->assign(batch, 0.0);
+  if (batch == 0) return;
+
+  const size_t block = internal::kCoalitionBlock;
+  const size_t num_blocks = (batch + block - 1) / block;
+  const size_t filters = static_cast<size_t>(config_.num_filters);
+  const size_t pixels = static_cast<size_t>(conv_side_) * conv_side_;
+  // Sub-blocks write disjoint out-slots; identical for any thread count.
+  ParallelFor(ctx, static_cast<int>(num_blocks), [&](int blk) {
+    const size_t b0 = static_cast<size_t>(blk) * block;
+    const size_t nb = std::min(b0 + block, batch) - b0;
+    const internal::PackedConvBlock pack = internal::PackConvBlock(
+        param_rows, b0, nb, conv_weights_offset_, conv_bias_offset_,
+        config_.channels, filters, config_.image_side);
+    const size_t stride = pack.stride();
+
+    std::vector<double> z(pixels * stride);
+    ForwardState state;
+    state.conv.resize(filters * pixels);
+    std::vector<double> totals(nb, 0.0);
+    for (size_t i = 0; i < data.num_samples(); ++i) {
+      internal::BatchedConv3x3(pack, data.sample(i), z.data());
+      for (size_t b = 0; b < nb; ++b) {
+        // ReLU into ForwardSample's [filter][pixel] layout.
+        for (size_t f = 0; f < filters; ++f) {
+          const double* zf = z.data() + b * filters + f;
+          double* conv = state.conv.data() + f * pixels;
+          for (size_t p = 0; p < pixels; ++p) {
+            conv[p] = std::max(0.0, zf[p * stride]);
+          }
+        }
+        totals[b] +=
+            ForwardTail(param_rows.RowPtr(b0 + b), data.label(i), &state);
+      }
+    }
+    for (size_t b = 0; b < nb; ++b) {
+      (*out)[b0 + b] = internal::MeanLossPlusL2(
+          totals[b], data.num_samples(), param_rows.RowPtr(b0 + b),
+          param_rows.cols(), config_.l2_penalty);
+    }
+  });
 }
 
 double Cnn::LossAndGradient(const Vector& params, const Dataset& data,
@@ -167,7 +227,7 @@ double Cnn::LossAndGradient(const Vector& params, const Dataset& data,
   for (size_t i = 0; i < data.num_samples(); ++i) {
     const double* x = data.sample(i);
     const int y = data.label(i);
-    total += ForwardSample(params, x, y, &state);
+    total += ForwardSample(params.data(), x, y, &state);
 
     for (int k = 0; k < classes; ++k) dlogit[k] = state.probs[k];
     dlogit[y] -= 1.0;
@@ -217,7 +277,7 @@ double Cnn::LossAndGradient(const Vector& params, const Dataset& data,
 
 int Cnn::Predict(const Vector& params, const double* x) const {
   ForwardState state;
-  ForwardSample(params, x, /*label=*/-1, &state);
+  ForwardSample(params.data(), x, /*label=*/-1, &state);
   return static_cast<int>(
       std::max_element(state.probs.begin(), state.probs.end()) -
       state.probs.begin());

@@ -29,6 +29,11 @@ struct CnnConfig {
 /// Flat parameter layout: conv weights [filters][channels][3][3], conv
 /// bias [filters], FC weights (pooled_dim x classes) row-major, FC bias
 /// [classes].
+///
+/// BatchLoss packs the conv filters of up to kCoalitionBlock members as
+/// the columns of one batched convolution (models/batch_kernels.h) per
+/// test sample, then runs each member's ReLU -> pool -> FC -> softmax
+/// tail through the same code as Loss.
 class Cnn : public Model {
  public:
   explicit Cnn(const CnnConfig& config);
@@ -42,6 +47,9 @@ class Cnn : public Model {
   std::string name() const override { return "cnn"; }
 
   double Loss(const Vector& params, const Dataset& data) const override;
+  void BatchLoss(const Matrix& param_rows, const Dataset& data,
+                 std::vector<double>* out,
+                 ExecutionContext* ctx = nullptr) const override;
   double LossAndGradient(const Vector& params, const Dataset& data,
                          Vector* grad) const override;
   int Predict(const Vector& params, const double* x) const override;
@@ -60,8 +68,13 @@ class Cnn : public Model {
     std::vector<double> probs;   // classes
   };
 
-  double ForwardSample(const Vector& params, const double* x, int label,
+  /// Conv + ReLU into state->conv, then ForwardTail.
+  double ForwardSample(const double* params, const double* x, int label,
                        ForwardState* state) const;
+  /// Pool, FC and softmax from the post-ReLU state->conv; returns the
+  /// sample's loss (0 when label < 0).
+  double ForwardTail(const double* params, int label,
+                     ForwardState* state) const;
 
   CnnConfig config_;
   int conv_side_;

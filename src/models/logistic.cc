@@ -122,15 +122,9 @@ void LogisticRegression::BatchLoss(const Matrix& param_rows,
       }
     }
     for (size_t b = 0; b < nb; ++b) {
-      // Same mean and regularizer arithmetic as Loss (ascending-order
-      // dot product, division by the sample count).
-      const double mean =
-          data.empty() ? 0.0
-                       : totals[b] / static_cast<double>(data.num_samples());
-      const double* p = param_rows.RowPtr(b0 + b);
-      double dot = 0.0;
-      for (size_t k = 0; k < param_rows.cols(); ++k) dot += p[k] * p[k];
-      (*out)[b0 + b] = mean + 0.5 * l2_penalty_ * dot;
+      (*out)[b0 + b] = internal::MeanLossPlusL2(
+          totals[b], data.num_samples(), param_rows.RowPtr(b0 + b),
+          param_rows.cols(), l2_penalty_);
     }
   });
 }

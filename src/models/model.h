@@ -55,7 +55,7 @@ class Model {
   /// one flat parameter vector, and `out` (resized to param_rows.rows())
   /// receives out[i] == Loss(row i, data) bit for bit (see the contract
   /// at the top of this header). The default implementation loops Loss,
-  /// parallelized over rows via `ctx`; LogisticRegression and Mlp
+  /// parallelized over rows via `ctx`; LogisticRegression, Mlp and Cnn
   /// override it with blocked kernels that amortize the test-set
   /// traversal across the whole batch.
   virtual void BatchLoss(const Matrix& param_rows, const Dataset& data,

@@ -154,8 +154,9 @@ void RoundUtility::EvaluateBatch(const std::vector<Coalition>& coalitions) {
   // Blocks of kCoalitionBlock coalitions, or fewer when the batch is
   // small, so it still splits into about kMinBlocks tasks: with only a
   // few blocks per worker, workers that start late leave others idle at
-  // the end (measured on CNN batches of ~63 coalitions, whose default
-  // BatchLoss costs the same per row at any block size). The block size
+  // the end (measured on CNN batches of ~63 coalitions when the CNN ran
+  // one Loss per row; Cnn::BatchLoss costs about the same per row at
+  // blocks of 4 and 8, so the rule holds there too). The block size
   // depends only on the batch, never on the thread count.
   //
   // One task per worker pulls blocks in turn, forms each block's means

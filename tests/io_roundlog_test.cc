@@ -6,6 +6,7 @@
 // any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -795,6 +796,82 @@ TEST_F(RoundLogTest, PipelineResumeRefusesOtherCompressionAndVersion) {
     EXPECT_TRUE(fs::exists(file)) << file << " was moved";
     EXPECT_FALSE(fs::exists(file + ".corrupt")) << file << " quarantined";
   }
+}
+
+// A round log in a retired encoding is intact state this build can never
+// extend, so resuming over it is a permanent failure, not a degraded
+// spill: the run fails with FailedPrecondition even without
+// require_durable, after one warning. An engine fed further rounds keeps
+// returning the error without re-opening the log (no second warning, no
+// second spill failure).
+TEST_F(RoundLogTest, ResumeOverRetiredEncodingFailsWithoutRequireDurable) {
+  constexpr int kClients = 3;
+  GoldenWorkload w = MakeGoldenWorkload(kClients, 6262);
+  LogisticRegression model(w.test.dim(), 10);
+  FedAvgConfig fed_cfg;
+  fed_cfg.num_rounds = 4;
+  fed_cfg.clients_per_round = 2;
+  fed_cfg.seed = 31;
+  const ValuationRequest request = GoldenRequest();
+
+  CheckpointConfig ckpt;
+  ckpt.path = Path("ckpt");
+  ckpt.keep_generations = 2;
+  ckpt.round_log_path = Path("spill.log");
+  ckpt.inject_crash_after_round = 2;
+  ASSERT_EQ(RunValuationCheckpointed(model, w.clients, w.test, fed_cfg,
+                                     request, ckpt)
+                .status()
+                .code(),
+            StatusCode::kInternal);
+  ckpt.inject_crash_after_round = -1;
+  Result<std::string> log = FileEnv::Real()->ReadFile(ckpt.round_log_path);
+  ASSERT_TRUE(log.ok());
+  ASSERT_TRUE(FileEnv::Real()
+                  ->WriteFile(ckpt.round_log_path,
+                              WithHeaderEncoding(log.value(), 1))
+                  .ok());
+  auto count_lines = [](const std::string& text) {
+    return std::count(text.begin(), text.end(), '\n');
+  };
+
+  ExecutionContext ctx(1, 0, LogLevel::kInfo);
+  ASSERT_FALSE(ckpt.require_durable);
+  ::testing::internal::CaptureStderr();
+  Result<ValuationOutcome> resumed = RunValuationCheckpointed(
+      model, w.clients, w.test, fed_cfg, request, ckpt, &ctx);
+  const std::string pipeline_log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition)
+      << resumed.status().ToString();
+  EXPECT_EQ(pipeline_log.rfind("[WARN] ", 0), 0u) << pipeline_log;
+  EXPECT_NE(pipeline_log.find("round-log open failed"), std::string::npos)
+      << pipeline_log;
+  EXPECT_EQ(count_lines(pipeline_log), 1) << pipeline_log;
+
+  // The same resume driven round by round through the engine.
+  StreamingConfig streaming;
+  streaming.request = request;
+  streaming.spill.enabled = true;
+  streaming.spill.path = ckpt.round_log_path;
+  StreamingValuationEngine engine(&model, &w.test, kClients, streaming,
+                                  &ctx);
+  FedAvgTrainer trainer(&model, w.clients, w.test, fed_cfg);
+  CheckpointManagerOptions mgr_options;
+  mgr_options.keep_generations = 2;
+  CheckpointManager manager(ckpt.path, mgr_options);
+  ASSERT_TRUE(trainer.Begin().ok());
+  ASSERT_TRUE(engine.RestoreCheckpoint(&manager, &trainer).ok());
+  ASSERT_EQ(engine.rounds_consumed(), 2);
+  ::testing::internal::CaptureStderr();
+  while (!trainer.Done()) {
+    EXPECT_EQ(engine.Consume(trainer.Step()).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  const std::string engine_log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(engine.rounds_consumed(), fed_cfg.num_rounds);
+  EXPECT_EQ(engine.health().spill_failures, 1);
+  EXPECT_EQ(engine.spill_writer(), nullptr);
+  EXPECT_EQ(count_lines(engine_log), 1) << engine_log;
 }
 
 }  // namespace

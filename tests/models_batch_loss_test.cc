@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/execution_context.h"
+#include "core/pipeline.h"
+#include "data/image_sim.h"
+#include "data/partition.h"
 #include "models/batch_kernels.h"
 #include "models/cnn.h"
 #include "models/logistic.h"
@@ -47,8 +51,9 @@ Matrix RandomParams(const Model& model, int batch, uint64_t seed) {
 }
 
 void ExpectBatchMatchesLoss(const Model& model, const Dataset& data,
-                            uint64_t seed) {
-  for (int batch : {1, 7, 64}) {
+                            uint64_t seed,
+                            const std::vector<int>& batches = {1, 7, 64}) {
+  for (int batch : batches) {
     const Matrix rows = RandomParams(model, batch, seed + batch);
     std::vector<double> sequential(batch);
     for (int b = 0; b < batch; ++b) {
@@ -94,26 +99,107 @@ TEST(BatchLossTest, SingleLayerMlpIsPureSoftmax) {
   ExpectBatchMatchesLoss(model, MakeData(31, 20, 4, 9, true), 15);
 }
 
-TEST(BatchLossTest, DefaultImplementationCoversCnn) {
-  CnnConfig cfg;
-  cfg.image_side = 6;
-  cfg.channels = 1;
-  cfg.num_filters = 3;
-  cfg.num_classes = 4;
-  Cnn model(cfg);
-  ExpectBatchMatchesLoss(model, MakeData(20, 36, 4, 10, false), 16);
+// Forwards everything to a wrapped model except BatchLoss, so BatchLoss
+// runs Model's default per-row loop over the wrapped Loss.
+class PerRowModel : public Model {
+ public:
+  explicit PerRowModel(const Model& inner) : inner_(inner) {}
+  size_t num_params() const override { return inner_.num_params(); }
+  size_t input_dim() const override { return inner_.input_dim(); }
+  int num_classes() const override { return inner_.num_classes(); }
+  std::string name() const override { return inner_.name(); }
+  double Loss(const Vector& params, const Dataset& data) const override {
+    return inner_.Loss(params, data);
+  }
+  double LossAndGradient(const Vector& params, const Dataset& data,
+                         Vector* grad) const override {
+    return inner_.LossAndGradient(params, data, grad);
+  }
+  int Predict(const Vector& params, const double* x) const override {
+    return inner_.Predict(params, x);
+  }
+  void InitializeParams(Vector* params, Rng* rng,
+                        double scale) const override {
+    inner_.InitializeParams(params, rng, scale);
+  }
+  void MixFingerprint(uint64_t* hash) const override {
+    inner_.MixFingerprint(hash);
+  }
+
+ private:
+  const Model& inner_;
+};
+
+TEST(BatchLossTest, DefaultImplementationLoopsLoss) {
+  LogisticRegression logistic(19, 4, 1e-3);
+  ExpectBatchMatchesLoss(PerRowModel(logistic),
+                         MakeData(23, 19, 4, 10, true), 16);
+}
+
+// Every exact zero of `data` at an odd flat index becomes -0.0.
+Dataset WithNegativeZeros(Dataset data) {
+  Matrix& feats = data.mutable_features();
+  for (size_t i = 0; i < feats.rows(); ++i) {
+    for (size_t j = 0; j < feats.cols(); ++j) {
+      if (feats(i, j) == 0.0 && (i * feats.cols() + j) % 2 == 1) {
+        feats(i, j) = -0.0;
+      }
+    }
+  }
+  return data;
+}
+
+// Cnn::BatchLoss packs every member's filters as the columns of one
+// batched convolution; each (members x filters) column count below
+// pads differently to the tile widths, and batches 1-17 cross the
+// kCoalitionBlock edges. Inputs carry exact zeros and -0.0, and the
+// first image is all zeros (every conv output is its bias).
+TEST(BatchLossTest, CnnBitIdenticalToSequentialLoss) {
+  struct Shape {
+    int side;
+    int channels;
+    int filters;
+  };
+  std::vector<int> batches;
+  for (int b = 1; b <= 17; ++b) batches.push_back(b);
+  for (const Shape& shape : {Shape{8, 3, 6}, Shape{7, 1, 5}, Shape{7, 3, 7},
+                             Shape{6, 1, 3}, Shape{9, 2, 1}}) {
+    SCOPED_TRACE("side=" + std::to_string(shape.side) +
+                 " channels=" + std::to_string(shape.channels) +
+                 " filters=" + std::to_string(shape.filters));
+    CnnConfig cfg;
+    cfg.image_side = shape.side;
+    cfg.channels = shape.channels;
+    cfg.num_filters = shape.filters;
+    cfg.num_classes = 4;
+    cfg.l2_penalty = 1e-3;
+    Cnn model(cfg);
+    const int dim = static_cast<int>(model.input_dim());
+    Dataset data =
+        WithNegativeZeros(MakeData(13, dim, 4, 20 + shape.side, true));
+    for (int j = 0; j < dim; ++j) {
+      data.mutable_features()(0, j) = j % 2 == 0 ? 0.0 : -0.0;
+    }
+    ExpectBatchMatchesLoss(model, data, 30 + shape.filters, batches);
+  }
 }
 
 TEST(BatchLossTest, EmptyDatasetYieldsRegularizerOnly) {
-  LogisticRegression model(16, 3, 1e-2);
-  Dataset empty;
-  Matrix feats(0, 16);
-  empty = Dataset(std::move(feats), {}, 3);
-  const Matrix rows = RandomParams(model, 7, 17);
-  std::vector<double> batched;
-  model.BatchLoss(rows, empty, &batched);
-  for (int b = 0; b < 7; ++b) {
-    EXPECT_EQ(batched[b], model.Loss(rows.Row(b), empty)) << b;
+  CnnConfig cnn_cfg;
+  cnn_cfg.l2_penalty = 1e-2;
+  const LogisticRegression logistic(16, 3, 1e-2);
+  const Cnn cnn(cnn_cfg);
+  for (const Model* model : {static_cast<const Model*>(&logistic),
+                             static_cast<const Model*>(&cnn)}) {
+    const Dataset empty(Matrix(0, model->input_dim()), {},
+                        model->num_classes());
+    const Matrix rows = RandomParams(*model, 9, 17);
+    std::vector<double> batched;
+    model->BatchLoss(rows, empty, &batched);
+    for (int b = 0; b < 9; ++b) {
+      EXPECT_EQ(batched[b], model->Loss(rows.Row(b), empty))
+          << model->name() << " row=" << b;
+    }
   }
 }
 
@@ -174,6 +260,115 @@ TEST(BatchLossTest, AllTileWidthsMatchScalarAffine) {
     for (size_t c = 0; c < cols; ++c) {
       EXPECT_EQ(z0_only[c], ref0[c]) << "tile_cols=" << tile_cols;
     }
+  }
+}
+
+// The conv tile pass at every compiled width must agree with a scalar
+// reference written in Cnn::ForwardSample's order: bias, then
+// (w0*x0 + w1*x1) + w2*x2 per (channel, kernel row).
+TEST(BatchLossTest, AllTileWidthsMatchScalarConv) {
+  const size_t side = 7, channels = 2, filters = 5, members = 3;
+  const size_t taps = channels * 9;
+  const size_t bias_offset = filters * taps;
+  const size_t cs = side - 2;
+  Rng rng(72);
+  Matrix rows(members, bias_offset + filters + 4);
+  for (size_t b = 0; b < members; ++b) {
+    for (size_t k = 0; k < rows.cols(); ++k) {
+      rows(b, k) = rng.NextBernoulli(0.1) ? -0.0 : rng.NextGaussian();
+    }
+  }
+  std::vector<double> x(channels * side * side);
+  for (double& v : x) {
+    v = rng.NextBernoulli(0.2) ? 0.0 : rng.NextGaussian();
+  }
+
+  const size_t cols = members * filters;
+  std::vector<double> ref(cs * cs * cols);
+  for (size_t col = 0; col < cols; ++col) {
+    const size_t m = col / filters;
+    const size_t f = col % filters;
+    for (size_t r = 0; r < cs; ++r) {
+      for (size_t c = 0; c < cs; ++c) {
+        double acc = rows(m, bias_offset + f);
+        for (size_t ch = 0; ch < channels; ++ch) {
+          for (size_t dr = 0; dr < 3; ++dr) {
+            const double* img = &x[(ch * side + r + dr) * side + c];
+            const double* w = rows.RowPtr(m) + f * taps + (ch * 3 + dr) * 3;
+            acc += w[0] * img[0] + w[1] * img[1] + w[2] * img[2];
+          }
+        }
+        ref[(r * cs + c) * cols + col] = acc;
+      }
+    }
+  }
+
+  for (size_t tile_cols : internal::SupportedTileCols()) {
+    const internal::PackedConvBlock pack = internal::PackConvBlock(
+        rows, 0, members, 0, bias_offset, channels, filters, side,
+        tile_cols);
+    ASSERT_EQ(pack.tile_cols, tile_cols);
+    ASSERT_GE(pack.stride(), cols);
+    std::vector<double> z(cs * cs * pack.stride(), -1.0);
+    internal::BatchedConv3x3(pack, x.data(), z.data());
+    for (size_t p = 0; p < cs * cs; ++p) {
+      for (size_t col = 0; col < cols; ++col) {
+        EXPECT_EQ(z[p * pack.stride() + col], ref[p * cols + col])
+            << "tile_cols=" << tile_cols << " pixel=" << p << " col=" << col;
+      }
+    }
+  }
+}
+
+// End to end: a CNN valuation gives the same values bit for bit whether
+// coalition losses run through the Cnn::BatchLoss override or through
+// the default per-row loop, at any thread count.
+TEST(BatchLossTest, CnnValuationMatchesPerRowPath) {
+  SimulatedImageConfig images;
+  images.family = ImageFamily::kCifar10;
+  images.num_samples = 150;
+  images.seed = 81;
+  Dataset pool = GenerateSimulatedImages(images);
+  Rng rng(82);
+  auto [train_pool, test] = pool.RandomSplit(0.2, &rng);
+  const std::vector<Dataset> clients = PartitionIid(train_pool, 5, &rng);
+
+  CnnConfig cfg;
+  cfg.channels = 3;
+  cfg.num_filters = 4;
+  cfg.l2_penalty = 1e-4;
+  Cnn cnn(cfg);
+  PerRowModel per_row(cnn);
+  FedAvgConfig fed;
+  fed.num_rounds = 3;
+  fed.clients_per_round = 4;
+  fed.seed = 83;
+  ValuationRequest request;
+  request.fedsv.mode = FedSvConfig::Mode::kExact;
+  request.comfedsv.mode = ComFedSvConfig::Mode::kSampled;
+  request.comfedsv.num_permutations = 6;
+  request.comfedsv.completion.rank = 2;
+  request.comfedsv.seed = 84;
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecutionContext ctx(threads);
+    ExecutionContext* run_ctx = threads == 1 ? nullptr : &ctx;
+    Result<ValuationOutcome> batched =
+        RunValuation(cnn, clients, test, fed, request, run_ctx);
+    Result<ValuationOutcome> looped =
+        RunValuation(per_row, clients, test, fed, request, run_ctx);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    ASSERT_TRUE(looped.ok()) << looped.status().ToString();
+    const Vector& fedsv = *batched.value().fedsv_values;
+    const Vector& comfedsv = batched.value().comfedsv->values;
+    ASSERT_EQ(fedsv.size(), clients.size());
+    for (size_t k = 0; k < clients.size(); ++k) {
+      EXPECT_EQ(fedsv[k], (*looped.value().fedsv_values)[k]) << k;
+      EXPECT_EQ(comfedsv[k], looped.value().comfedsv->values[k]) << k;
+    }
+    EXPECT_EQ(batched.value().fedsv_stats.loss_calls,
+              looped.value().fedsv_stats.loss_calls);
   }
 }
 
@@ -320,7 +515,7 @@ TEST(BatchLossTest, EvaluateBatchBitIdenticalAcrossBlockEdgesMlp) {
 }
 
 TEST(BatchLossTest, EvaluateBatchBitIdenticalAcrossBlockEdgesCnn) {
-  CnnConfig cfg;  // default BatchLoss: one Loss per row
+  CnnConfig cfg;  // the Cnn::BatchLoss override
   cfg.image_side = 6;
   cfg.channels = 1;
   cfg.num_filters = 3;
